@@ -27,8 +27,8 @@
 //! * **Observability** — a [`TelemetryHub`] (on by default) attaches the
 //!   fleet event bus and serves `GET /metrics` (JSON or Prometheus text),
 //!   `GET /analytics/{interference,hot-pairs,latency}` and a live
-//!   `GET /events/stream` NDJSON tail; fleet snapshots carry the
-//!   aggregates as a versioned envelope so restarts restore warm.
+//!   `GET /events/stream` NDJSON tail. Aggregates are process-lifetime:
+//!   `POST /restore` swaps the fleet and leaves every counter as it was.
 //!
 //! See [`routes`] for the endpoint table and [`ApiServer`] to run one.
 //!

@@ -16,8 +16,8 @@
 //! | `POST /fleet/install_many` | token | bulk install via the queue executor |
 //! | `POST /fleet/upgrades` | token | streamed fleet rollout |
 //! | `POST /fleet/uninstall` | token | fleet-wide forced uninstall |
-//! | `GET /snapshot` | token | full fleet snapshot (+ telemetry envelope) |
-//! | `POST /restore` | token | revive a fleet from a snapshot |
+//! | `GET /snapshot` | token | full fleet image (a journal checkpoint at offset 0) |
+//! | `POST /restore` | token | revive a fleet from a full image |
 //! | `GET /health` | — | liveness: always 200, body says `ok`/`degraded` |
 //! | `GET /ready` | — | readiness: 503 when quarantined or poisoned |
 //! | `POST /journal/heal` | token | re-arm a quarantined journal (fresh full checkpoint) |
@@ -40,9 +40,8 @@ use crate::wire::{
     bulk_json, force_uninstall_json, hot_pairs_json, install_report_json, need_home_ids, need_str,
     parse_body, uninstall_report_json, ApiError,
 };
-use hg_persist::FleetSnapshot;
 use hg_rules::json::Json;
-use hg_service::{Fleet, HgError, HomeId, Journal, JournalState};
+use hg_service::{Checkpoint, Fleet, HgError, HomeId, Journal, JournalState};
 use hg_telemetry::{TelemetryBus, TelemetryHub};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
@@ -439,18 +438,11 @@ fn dispatch(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
         }
         ("GET", "/snapshot") => {
             token(state, req)?;
-            let exec = state.exec();
-            let mut snapshot = exec
+            let snapshot = state
+                .exec()
                 .run_on_store(|fleet| fleet.snapshot())
                 .map_err(ApiError::from)?
                 .map_err(ApiError::from)?;
-            if let Some(hub) = state.telemetry() {
-                // Fold in everything published up to the capture, so the
-                // envelope's aggregates match the ground truth they rode
-                // along with.
-                hub.sync(SYNC_WINDOW);
-                snapshot.telemetry = Some(hub.registry().export_state());
-            }
             Ok(Response {
                 status: 200,
                 headers: Vec::new(),
@@ -462,13 +454,8 @@ fn dispatch(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
             token(state, req)?;
             let text = std::str::from_utf8(&req.body)
                 .map_err(|_| ApiError::bad_request("snapshot is not UTF-8"))?;
-            let mut snapshot = FleetSnapshot::from_text(text).map_err(ApiError::from)?;
-            if let (Some(hub), Some(envelope)) = (state.telemetry(), snapshot.telemetry.take()) {
-                hub.registry().absorb_state(&envelope).map_err(|why| {
-                    ApiError::bad_request(format!("telemetry envelope refused: {why}"))
-                })?;
-            }
-            let fleet = Arc::new(Fleet::restore(snapshot).map_err(ApiError::from)?);
+            let image = Checkpoint::from_text(text).map_err(ApiError::from)?;
+            let fleet = Arc::new(Fleet::restore(image).map_err(ApiError::from)?);
             let homes = fleet.len();
             state.swap_fleet(fleet).map_err(ApiError::from)?;
             Ok(Response::json(200, &Json::obj([("homes", Json::Num(homes as i64))])).into())

@@ -402,6 +402,52 @@ fn snapshot_restore_round_trips_over_http() {
 }
 
 #[test]
+fn restore_leaves_metrics_counters_unchanged() {
+    // Counters are process-lifetime observations, not fleet state: a
+    // snapshot carries none and a restore in the same process must not
+    // add the captured traffic on top of what the registry already saw.
+    let fleet = Arc::new(Fleet::builder(RuleStore::shared()).shards(2).build());
+    let server = start(
+        fleet,
+        ExecConfig::default(),
+        Duration::from_secs(60),
+        Duration::from_secs(60),
+    );
+    let addr = server.addr();
+    let token = session(&server);
+    let home = create_home(&server, &token);
+    send(
+        addr,
+        "POST",
+        &format!("/homes/{home}/install"),
+        Some(&token),
+        Some(&app_body(ON_APP, "OnApp")),
+    );
+    let installs = || {
+        send(addr, "GET", "/metrics", None, None)
+            .json()
+            .get("counters")
+            .and_then(|c| c.get("installs_total"))
+            .and_then(Json::as_num)
+    };
+    let before = installs();
+    assert_eq!(before, Some(1));
+
+    let snapshot = send(addr, "GET", "/snapshot", Some(&token), None);
+    assert_eq!(snapshot.status, 200);
+    let restored = send(
+        addr,
+        "POST",
+        "/restore",
+        Some(&token),
+        Some(&snapshot.json()),
+    );
+    assert_eq!(restored.status, 200);
+    assert_eq!(installs(), before, "restore must not re-count installs");
+    server.shutdown();
+}
+
+#[test]
 fn saturated_shard_queue_answers_429_with_retry_after() {
     // One shard, queue bound 1: a wedged worker plus one queued job ⇒
     // the next admission must be refused, typed, with Retry-After.

@@ -165,15 +165,40 @@ fn garbage_json_and_missing_fields_are_400s_not_panics() {
         .status,
         404
     );
-    // Bad snapshot documents are 400s.
-    let bad_snap = send(
-        addr,
-        "POST",
-        "/restore",
-        Some(&token),
-        Some(&Json::obj([("v", Json::Num(999))])),
-    );
-    assert_eq!(bad_snap.status, 400);
+    // Bad snapshot documents are typed 400s: garbage, a pre-image
+    // `kind: fleet` envelope, a duplicated home id, and a delta image.
+    let image = send(addr, "GET", "/snapshot", Some(&token), None);
+    assert_eq!(image.status, 200);
+    let image = image.json();
+    let forged = |field: &str, value: Json| {
+        let mut doc = image.clone();
+        if let Json::Obj(fields) = &mut doc {
+            fields.insert(field.to_string(), value);
+        }
+        doc
+    };
+    let home_entry = image.get("homes").and_then(Json::as_arr).unwrap()[0].clone();
+    let legacy = r#"{"version":1,"kind":"fleet","payload":{"shards":2,"nextId":0,"store":{"config":{"allowNonstandardDevices":false,"modelUndocumentedApis":true,"maxPaths":64,"maxCallDepth":8,"loopUnroll":2},"apps":[]},"homes":[]}}"#;
+    let bad_docs = [
+        Json::obj([("v", Json::Num(999))]),
+        Json::parse(legacy).unwrap(),
+        forged("homes", Json::Arr(vec![home_entry.clone(), home_entry])),
+        forged("full", Json::Bool(false)),
+    ];
+    for doc in &bad_docs {
+        let bad_snap = send(addr, "POST", "/restore", Some(&token), Some(doc));
+        assert_eq!(bad_snap.status, 400, "{}", doc.to_text());
+        assert_eq!(
+            bad_snap
+                .json()
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some("bad_snapshot"),
+            "{}",
+            doc.to_text()
+        );
+    }
 
     // After the whole corpus, the server still serves normally.
     let stats = send(addr, "GET", "/stats", None, None);

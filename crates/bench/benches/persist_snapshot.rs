@@ -1,5 +1,5 @@
-//! Snapshot/restore bench: whole-fleet serialization throughput and
-//! warm-restart latency through `hg-persist`.
+//! Snapshot/restore bench: whole-fleet image serialization throughput
+//! and warm-restart latency (a snapshot is a full journal checkpoint).
 //!
 //! This is the perf-trajectory guard for the durability layer: a snapshot
 //! must stay a linear walk over store + homes (no per-home re-extraction,
@@ -9,8 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hg_corpus::device_control_apps;
-use hg_persist::FleetSnapshot;
-use hg_service::{Fleet, HomeId, RuleStore};
+use hg_service::{Checkpoint, Fleet, HomeId, RuleStore};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -38,7 +37,7 @@ fn bench_persist_snapshot(c: &mut Criterion) {
         let text = fleet.snapshot().unwrap().to_text();
         let snap_elapsed = started.elapsed();
         let started = Instant::now();
-        let restored = Fleet::restore(FleetSnapshot::from_text(&text).unwrap()).unwrap();
+        let restored = Fleet::restore(Checkpoint::from_text(&text).unwrap()).unwrap();
         let restore_elapsed = started.elapsed();
         assert_eq!(restored.len(), homes);
         println!(
@@ -58,8 +57,8 @@ fn bench_persist_snapshot(c: &mut Criterion) {
     });
 
     let text = fleet.snapshot().unwrap().to_text();
-    group.bench_function("restore_from_text_64x4", |b| {
-        b.iter(|| black_box(Fleet::restore(FleetSnapshot::from_text(&text).unwrap()).unwrap()))
+    group.bench_function("restore_image_text_64x4", |b| {
+        b.iter(|| black_box(Fleet::restore(Checkpoint::from_text(&text).unwrap()).unwrap()))
     });
     group.finish();
 }

@@ -137,7 +137,7 @@ impl HomeBuilder {
 
     /// Whether the session's detector consults the lowered pair-check
     /// tier before falling back to the full `OverlapSolver` (default:
-    /// true, subject to the process-wide `HG_LOWERED_PAIRS` override).
+    /// true).
     /// The differential harnesses disable it to run solver-forced twin
     /// sessions. Like [`verdict_sharing`](Self::verdict_sharing) this is
     /// a session-local diagnostic knob, absent from [`HomeState`]: a
@@ -365,12 +365,9 @@ impl Home {
         };
         let mut det = Detector {
             unification,
+            lowered_pairs: self.lowered_pairs,
             ..Detector::default()
         };
-        // The session opt-out can only disable the tier; the process-wide
-        // `HG_LOWERED_PAIRS` override (folded into the default) wins when
-        // it says off.
-        det.lowered_pairs &= self.lowered_pairs;
         det.solver.set_modes(self.modes.iter().cloned());
         det.solver.set_user_values(self.values.clone());
         if self.share_verdicts {

@@ -40,9 +40,8 @@ pub struct Detector {
     pub solver: OverlapSolver,
     /// Whether the lowered pair-check tier is consulted between the
     /// verdict-cache probe and the full solver (see [`crate::lowering`]).
-    /// Defaults to on unless the `HG_LOWERED_PAIRS` environment variable
-    /// disables it process-wide (`off`/`0`/`false`); differential tests
-    /// clear it per-detector to run solver-forced twins.
+    /// Defaults to on; differential tests clear it per-detector to run
+    /// solver-forced twins.
     pub lowered_pairs: bool,
     /// The fleet-shared pair-verdict cache, when one is attached (the
     /// [`RuleStore`]-owned `Arc` threaded through every home's detector).
@@ -65,24 +64,12 @@ impl Default for Detector {
         Detector {
             unification: Unification::default(),
             solver: OverlapSolver::default(),
-            lowered_pairs: lowered_pairs_env(),
+            lowered_pairs: true,
             cache: None,
             bus: None,
             probe_tick: Arc::default(),
         }
     }
-}
-
-/// The process-wide `HG_LOWERED_PAIRS` operator override, read once:
-/// `off`, `0` or `false` forces every pair check onto the full solver.
-fn lowered_pairs_env() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("HG_LOWERED_PAIRS").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    })
 }
 
 impl Detector {

@@ -1,25 +1,37 @@
-//! Delta checkpoints and their materialization into a full fleet image.
+//! The fleet image: full checkpoints, delta checkpoints, and the fold
+//! from one to the other.
 //!
-//! A checkpoint freezes the fleet's ground truth **as of a journal
-//! offset**: the first one in a chain is always full (store + every
-//! home); later ones are deltas carrying only the homes dirtied — and the
-//! store, if touched — since the previous checkpoint, plus the ids of
-//! homes removed. Folding the chain left to right
-//! ([`materialize`]) reproduces the complete image the newest checkpoint
-//! covers, and replaying journal records at offsets `>= offset` on top of
-//! it reproduces the live fleet.
+//! A **full** [`Checkpoint`] is the one whole-fleet document format: the
+//! shared store, every home's ground truth and the registry's routing
+//! parameters. `Fleet::snapshot` returns one (stamped at offset 0, since
+//! it names no journal position), the journal stores one as the base of
+//! every chain, and `Fleet::restore` / `Fleet::recover` revive a fleet
+//! from one. A **delta** carries only the homes dirtied (and the store,
+//! if touched) since the previous checkpoint, plus the ids of homes
+//! removed. [`materialize`] folds a chain (full base, then deltas) into
+//! the full image as of the newest offset; replaying journal records at
+//! offsets `>= offset` on top of it reproduces the live fleet.
+//!
+//! [`Checkpoint::from_text`] is the one decoder for client documents and
+//! stored checkpoints alike. It refuses every malformed input with a
+//! typed [`HgError::Snapshot`]; the journal re-labels a stored
+//! checkpoint that fails to decode as [`HgError::Journal`].
 
 use hg_persist::codec::{
-    home_state_from_json, home_state_to_json, store_state_from_json, store_state_to_json,
+    home_state_from_json, home_state_to_json, nonneg_field, snap_err, store_state_from_json,
+    store_state_to_json,
 };
 use hg_rules::json::Json;
 use homeguard_core::{HgError, HomeState, StoreState};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::record::journal_err;
 
 /// Checkpoint document format version, checked on decode.
 pub const CHECKPOINT_VERSION: i64 = 1;
+
+/// The `kind` tag every checkpoint document carries.
+const KIND: &str = "journal-checkpoint";
 
 /// One checkpoint document: the fleet's ground truth (full) or the
 /// dirtied part of it (delta) as of a journal offset.
@@ -30,16 +42,18 @@ pub struct Checkpoint {
     pub offset: u64,
     /// Whether this is a full image (chain base) or a delta.
     pub full: bool,
-    /// Fleet shard count (registry routing parameter).
+    /// Fleet shard count — preserved so restored home ids route to the
+    /// same shard they lived in.
     pub shards: usize,
-    /// The fleet's next home id.
+    /// The fleet's next home id, so a revived fleet never reissues a
+    /// handle a restored home already holds.
     pub next_id: u64,
     /// The shared rule store's state; always present when `full`, present
     /// in a delta only when store records landed since the previous
     /// checkpoint.
     pub store: Option<StoreState>,
-    /// `(raw id, ground truth)` for every home covered: all homes when
-    /// `full`, dirtied homes otherwise.
+    /// `(raw id, ground truth)` for every home covered, ascending by id:
+    /// all homes when `full`, dirtied homes otherwise.
     pub homes: Vec<(u64, HomeState)>,
     /// Raw ids of homes removed since the previous checkpoint.
     pub removed: Vec<u64>,
@@ -50,7 +64,7 @@ impl Checkpoint {
     pub fn to_text(&self) -> String {
         Json::obj([
             ("version", Json::Num(CHECKPOINT_VERSION)),
-            ("kind", Json::str("journal-checkpoint")),
+            ("kind", Json::str(KIND)),
             ("offset", Json::Num(self.offset as i64)),
             ("full", Json::Bool(self.full)),
             ("shards", Json::Num(self.shards as i64)),
@@ -85,75 +99,81 @@ impl Checkpoint {
     }
 
     /// Decodes a checkpoint document.
+    ///
+    /// # Errors
+    ///
+    /// [`HgError::Snapshot`] on corrupt bytes, a wrong version or kind, a
+    /// negative number, a full image without a store, zero shards, or a
+    /// home id listed twice.
     pub fn from_text(text: &str) -> Result<Checkpoint, HgError> {
-        let j = Json::parse(text).map_err(|e| journal_err(format!("checkpoint parse: {e}")))?;
-        if j.get("version").and_then(Json::as_num) != Some(CHECKPOINT_VERSION) {
-            return Err(journal_err("unsupported checkpoint version"));
-        }
-        if j.get("kind").and_then(Json::as_str) != Some("journal-checkpoint") {
-            return Err(journal_err("not a journal checkpoint document"));
-        }
-        let num = |field: &str| -> Result<i64, HgError> {
-            let n = j
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| journal_err(format!("checkpoint missing `{field}`")))?;
-            if n < 0 {
-                return Err(journal_err(format!("negative checkpoint `{field}`")));
+        let j = Json::parse(text).map_err(|e| snap_err(e.to_string()))?;
+        match j.get("version").and_then(Json::as_num) {
+            Some(CHECKPOINT_VERSION) => {}
+            Some(v) => {
+                return Err(snap_err(format!(
+                    "image version {v} (this build reads {CHECKPOINT_VERSION})"
+                )))
             }
-            Ok(n)
-        };
+            None => return Err(snap_err("missing image version")),
+        }
+        match j.get("kind").and_then(Json::as_str) {
+            Some(KIND) => {}
+            Some(k) => {
+                return Err(snap_err(format!(
+                    "document kind `{k}` where `{KIND}` was expected"
+                )))
+            }
+            None => return Err(snap_err("missing document kind")),
+        }
         let full = match j.get("full") {
             Some(Json::Bool(b)) => *b,
-            _ => return Err(journal_err("checkpoint missing `full`")),
+            _ => return Err(snap_err("missing boolean field `full`")),
         };
         let store = match j.get("store") {
             None | Some(Json::Null) => None,
-            Some(s) => Some(store_state_from_json(s).map_err(|e| journal_err(e.to_string()))?),
+            Some(s) => Some(store_state_from_json(s)?),
         };
         if full && store.is_none() {
-            return Err(journal_err("full checkpoint missing store state"));
+            return Err(snap_err("full image missing store state"));
         }
         let mut homes = Vec::new();
+        let mut seen = BTreeSet::new();
         for entry in j
             .get("homes")
             .and_then(Json::as_arr)
-            .ok_or_else(|| journal_err("checkpoint missing `homes`"))?
+            .ok_or_else(|| snap_err("missing array field `homes`"))?
         {
-            let id = entry
-                .get("id")
-                .and_then(Json::as_num)
-                .filter(|&n| n >= 0)
-                .ok_or_else(|| journal_err("bad home id in checkpoint"))?;
+            let id = nonneg_field(entry, "id")? as u64;
+            if !seen.insert(id) {
+                return Err(snap_err(format!("duplicate home id {id}")));
+            }
             let state = home_state_from_json(
                 entry
                     .get("state")
-                    .ok_or_else(|| journal_err("checkpoint home missing state"))?,
-            )
-            .map_err(|e| journal_err(e.to_string()))?;
-            homes.push((id as u64, state));
+                    .ok_or_else(|| snap_err("home entry missing state"))?,
+            )?;
+            homes.push((id, state));
         }
         let removed = j
             .get("removed")
             .and_then(Json::as_arr)
-            .ok_or_else(|| journal_err("checkpoint missing `removed`"))?
+            .ok_or_else(|| snap_err("missing array field `removed`"))?
             .iter()
-            .map(|r| {
-                r.as_num()
-                    .filter(|&n| n >= 0)
-                    .map(|n| n as u64)
-                    .ok_or_else(|| journal_err("bad removed id in checkpoint"))
+            .map(|r| match r.as_num() {
+                Some(n) if n >= 0 => Ok(n as u64),
+                Some(n) => Err(snap_err(format!("negative removed id: {n}"))),
+                None => Err(snap_err("non-numeric removed id")),
             })
             .collect::<Result<_, _>>()?;
-        let shards = num("shards")? as usize;
+        let shards = nonneg_field(&j, "shards")? as usize;
         if shards == 0 {
-            return Err(journal_err("checkpoint with zero shards"));
+            return Err(snap_err("image with zero shards"));
         }
         Ok(Checkpoint {
-            offset: num("offset")? as u64,
+            offset: nonneg_field(&j, "offset")? as u64,
             full,
             shards,
-            next_id: num("nextId")? as u64,
+            next_id: nonneg_field(&j, "nextId")? as u64,
             store,
             homes,
             removed,
@@ -161,40 +181,30 @@ impl Checkpoint {
     }
 }
 
-/// A checkpoint chain folded into one complete fleet image.
-#[derive(Debug, Clone)]
-pub struct MaterializedFleet {
-    /// Journal offset replay resumes from.
-    pub offset: u64,
-    /// Fleet shard count.
-    pub shards: usize,
-    /// The fleet's next home id.
-    pub next_id: u64,
-    /// The shared rule store's state.
-    pub store: StoreState,
-    /// Every live home's ground truth, keyed by raw id.
-    pub homes: BTreeMap<u64, HomeState>,
-}
-
 /// Folds a checkpoint chain (ascending offsets, first one full) into the
-/// complete image as of the newest checkpoint's offset.
-pub fn materialize(chain: &[Checkpoint]) -> Result<MaterializedFleet, HgError> {
-    let base = chain
-        .first()
+/// full image as of the newest checkpoint's offset. The chain is
+/// consumed: every state moves into the image, none is cloned.
+///
+/// # Errors
+///
+/// [`HgError::Journal`] when the chain is empty, does not start full, or
+/// its offsets regress.
+pub fn materialize(chain: Vec<Checkpoint>) -> Result<Checkpoint, HgError> {
+    let mut chain = chain.into_iter();
+    let mut image = chain
+        .next()
         .ok_or_else(|| journal_err("empty checkpoint chain"))?;
-    if !base.full {
+    if !image.full {
         return Err(journal_err(format!(
             "checkpoint chain does not start full (base covers offset {})",
-            base.offset
+            image.offset
         )));
     }
-    let mut image = MaterializedFleet {
-        offset: base.offset,
-        shards: base.shards,
-        next_id: base.next_id,
-        store: base.store.clone().expect("full checkpoint carries a store"),
-        homes: BTreeMap::new(),
-    };
+    let mut homes: BTreeMap<u64, HomeState> =
+        std::mem::take(&mut image.homes).into_iter().collect();
+    for id in std::mem::take(&mut image.removed) {
+        homes.remove(&id);
+    }
     for ckpt in chain {
         if ckpt.offset < image.offset {
             return Err(journal_err(format!(
@@ -203,21 +213,20 @@ pub fn materialize(chain: &[Checkpoint]) -> Result<MaterializedFleet, HgError> {
             )));
         }
         if ckpt.full {
-            image.homes.clear();
+            homes.clear();
         }
-        if let Some(store) = &ckpt.store {
-            image.store = store.clone();
+        if ckpt.store.is_some() {
+            image.store = ckpt.store;
         }
-        for (id, state) in &ckpt.homes {
-            image.homes.insert(*id, state.clone());
-        }
-        for id in &ckpt.removed {
-            image.homes.remove(id);
+        homes.extend(ckpt.homes);
+        for id in ckpt.removed {
+            homes.remove(&id);
         }
         image.offset = ckpt.offset;
         image.shards = ckpt.shards;
         image.next_id = ckpt.next_id;
     }
+    image.homes = homes.into_iter().collect();
     Ok(image)
 }
 
@@ -265,9 +274,13 @@ mod tests {
         assert_eq!(back.homes.len(), 1);
         assert_eq!(back.homes[0].0, 3);
         assert_eq!(back.homes[0].1, ckpt.homes[0].1);
-        // Document-level refusals.
-        assert!(Checkpoint::from_text("garbage").is_err());
-        assert!(Checkpoint::from_text("{\"version\":1,\"kind\":\"store\"}").is_err());
+        // Document-level refusals are typed snapshot errors.
+        for bad in ["garbage", "{\"version\":1,\"kind\":\"store\"}"] {
+            assert!(matches!(
+                Checkpoint::from_text(bad),
+                Err(HgError::Snapshot(_))
+            ));
+        }
     }
 
     #[test]
@@ -297,17 +310,19 @@ mod tests {
                 removed: vec![0],
             },
         ];
-        let image = materialize(&chain).unwrap();
+        let image = materialize(chain.to_vec()).unwrap();
+        assert!(image.full);
         assert_eq!(image.offset, 5);
         assert_eq!(image.next_id, 3);
         assert_eq!(
-            image.homes.keys().copied().collect::<Vec<_>>(),
+            image.homes.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
             vec![1, 2],
             "home 0 removed, homes 1-2 live"
         );
-        assert_eq!(image.homes[&1], state_b1);
+        assert_eq!(image.homes[0].1, state_b1);
+        assert!(image.removed.is_empty());
         // A chain that does not start full is refused.
-        assert!(materialize(&chain[1..]).is_err());
-        assert!(materialize(&[]).is_err());
+        assert!(materialize(chain[1..].to_vec()).is_err());
+        assert!(materialize(Vec::new()).is_err());
     }
 }

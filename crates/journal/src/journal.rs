@@ -43,7 +43,7 @@ use std::sync::{
 use std::time::{Duration, Instant};
 
 use crate::backend::{BackendError, JournalBackend};
-use crate::checkpoint::{materialize, Checkpoint, MaterializedFleet};
+use crate::checkpoint::{materialize, Checkpoint};
 use crate::frame::{encode_frame, scan_frames};
 use crate::record::{journal_err, JournalRecord};
 
@@ -761,19 +761,20 @@ impl Journal {
             .map(|&offset| {
                 let text = self.backend.read_checkpoint(offset).map_err(berr)?;
                 Checkpoint::from_text(&text)
+                    .map_err(|e| journal_err(format!("checkpoint at offset {offset}: {e}")))
             })
             .collect()
     }
 
-    /// Folds the stored checkpoint chain into one complete fleet image
+    /// Folds the stored checkpoint chain into one full fleet image
     /// (recovery's starting point).
     ///
     /// # Errors
     ///
     /// [`HgError::Journal`] when no checkpoint exists or the chain is
     /// damaged.
-    pub fn materialize(&self) -> Result<MaterializedFleet, HgError> {
-        materialize(&self.checkpoint_chain()?)
+    pub fn materialize(&self) -> Result<Checkpoint, HgError> {
+        materialize(self.checkpoint_chain()?)
     }
 
     /// Compacts the journal: folds the checkpoint chain into a single
@@ -796,24 +797,15 @@ impl Journal {
         if chain.is_empty() {
             return Err(journal_err("nothing to compact: no checkpoints"));
         }
-        let folded = materialize(&chain)?;
-        let full = Checkpoint {
-            offset: folded.offset,
-            full: true,
-            shards: folded.shards,
-            next_id: folded.next_id,
-            store: Some(folded.store),
-            homes: folded.homes.into_iter().collect(),
-            removed: Vec::new(),
-        };
-        let text = full.to_text();
+        let offsets: Vec<u64> = chain.iter().map(|c| c.offset).collect();
+        let full = materialize(chain)?;
         self.backend
-            .write_checkpoint(full.offset, &text)
+            .write_checkpoint(full.offset, &full.to_text())
             .map_err(berr)?;
         let mut dropped_ckpts = 0u64;
-        for ckpt in &chain {
-            if ckpt.offset != full.offset {
-                self.backend.remove_checkpoint(ckpt.offset).map_err(berr)?;
+        for offset in offsets {
+            if offset != full.offset {
+                self.backend.remove_checkpoint(offset).map_err(berr)?;
                 dropped_ckpts += 1;
             }
         }

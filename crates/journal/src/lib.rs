@@ -1,9 +1,8 @@
 //! # hg-journal — write-ahead lifecycle journal and delta snapshots
 //!
-//! Before this crate, the fleet's only durability unit was
-//! `hg-persist`'s stop-the-world full snapshot: a restart replayed
-//! nothing and a crash lost everything since the last full walk. This
-//! crate makes restore = **last checkpoint + replay**:
+//! A restart that only had a stop-the-world full snapshot would replay
+//! nothing and lose everything since the last full walk. This crate
+//! makes restore = **last checkpoint + replay**:
 //!
 //! * **[`Journal`]** — an append-only journal of fleet lifecycle events
 //!   ([`JournalRecord`]: home created/imported/removed, install
@@ -12,10 +11,11 @@
 //!   ([`frame`]); segments rotate by size; opening a journal verifies
 //!   every frame and **truncates a torn tail** instead of panicking.
 //! * **[`Checkpoint`]** — full or delta images of the fleet's ground
-//!   truth as of a journal offset, built on the same snapshot codecs the
-//!   fleet snapshot uses. [`materialize`] folds a chain of them into one
-//!   complete image; [`Journal::compact`] folds the chain *and* deletes
-//!   the segments it covers.
+//!   truth as of a journal offset, built on `hg-persist`'s field codecs.
+//!   A full checkpoint is the one whole-fleet image format:
+//!   `Fleet::snapshot` returns one too. [`materialize`] folds a chain
+//!   into one full image; [`Journal::compact`] folds the chain *and*
+//!   deletes the segments it covers.
 //! * **[`JournalBackend`]** — pluggable storage: [`MemBackend`] (tests,
 //!   benches, crash forks) and [`DirBackend`] (a directory of
 //!   `seg-*.wal` / `ckpt-*.json` files).
@@ -54,7 +54,7 @@ pub mod record;
 pub mod scheduler;
 
 pub use backend::{BackendError, DirBackend, JournalBackend, MemBackend};
-pub use checkpoint::{materialize, Checkpoint, MaterializedFleet};
+pub use checkpoint::{materialize, Checkpoint};
 pub use fault::{FaultBackend, FaultKind, FaultPlan};
 pub use journal::{
     Admission, CheckpointStats, CompactStats, DegradedPolicy, Journal, JournalConfig, JournalState,

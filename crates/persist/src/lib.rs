@@ -1,42 +1,40 @@
-//! # hg-persist — versioned snapshot serialization
+//! # hg-persist — snapshot field codecs and the home migration envelope
 //!
 //! The paper's deployment model assumes a long-lived per-home guard whose
-//! confirmed threat decisions survive across sessions; before this crate
-//! the whole system was memory-only — a process restart silently discarded
-//! the rule database, every Allowed list and all mediation state. This
-//! crate is the durability layer:
+//! confirmed threat decisions survive across sessions. This crate holds
+//! the serialization that durability is built on:
 //!
-//! * **Store snapshots** ([`store_to_text`] / [`store_from_text`]) — the
+//! * **Field codecs** ([`codec`]) — JSON encoders and decoders for the
 //!   rule database with its cached analyses and live ingest fingerprints,
-//!   so a restarted store answers unchanged-source ingests from cache
-//!   (warm restart) instead of re-extracting the world.
+//!   and for one home's ground truth: installed apps and rules,
+//!   confirmed/Allowed threat decisions, the configuration recorder and
+//!   the handling-policy table. `hg-journal`'s records and checkpoints
+//!   are built from them; a full checkpoint is the one whole-fleet image
+//!   (`Fleet::snapshot` / `Fleet::restore` / `Fleet::recover`).
 //! * **Home snapshots** ([`home_to_text`] / [`home_from_text`]) — one
-//!   session's ground truth: installed apps and rules, confirmed/Allowed
-//!   threat decisions, the configuration recorder and the handling-policy
-//!   table. This is the migration unit: export a home from one process,
-//!   import it into another fleet.
-//! * **Fleet snapshots** ([`FleetSnapshot`]) — the whole service: store +
-//!   every home + registry routing parameters, produced and consumed by
-//!   `hg_service::Fleet::{snapshot, restore}`.
+//!   session's ground truth in a versioned envelope. This is the
+//!   migration unit: export a home from one process, import it into
+//!   another fleet.
 //!
 //! ## What is (deliberately) not serialized
 //!
 //! Snapshots hold **ground truth only**. Derived state — the detection
 //! engine's candidate-index postings, the compiled [`MediationIndex`]
-//! (`hg-runtime`), any live enforcer — is rebuilt on restore from the
-//! rules and the Allowed list, so a snapshot can never disagree with the
-//! state it implies. Per-run enforcer memory (one-shot defer grants,
-//! fired-rule traces) and effort counters never survive a restart at all.
+//! (`hg-runtime`), any live enforcer, the verdict cache — is rebuilt on
+//! restore from the rules and the Allowed list, so a snapshot can never
+//! disagree with the state it implies. Per-run enforcer memory (one-shot
+//! defer grants, fired-rule traces), effort counters and telemetry
+//! aggregates never survive a restart at all.
 //!
 //! ## Format and versioning guarantees
 //!
-//! Snapshots are a single JSON document in the same hand-rolled codec the
-//! rule-store database uses ([`hg_rules::json`]); an app's rules appear in
-//! a snapshot as *exactly* the rule-file bytes the database holds. Every
-//! document carries `{"version": N, "kind": "store"|"home"|"fleet"}`;
-//! readers refuse an unknown version or kind — and any corrupt or garbage
-//! input — with a typed [`HgError::Snapshot`](homeguard_core::HgError),
-//! never a panic and never a half-applied restore.
+//! Documents are JSON in the same hand-rolled codec the rule-store
+//! database uses ([`hg_rules::json`]); an app's rules appear as *exactly*
+//! the rule-file bytes the database holds. The home envelope carries
+//! `{"version": N, "kind": "home"}`; readers refuse an unknown version or
+//! kind — and any corrupt or garbage input — with a typed
+//! [`HgError::Snapshot`](homeguard_core::HgError), never a panic and
+//! never a half-applied restore.
 //!
 //! [`MediationIndex`]: hg_runtime::MediationIndex
 //!
@@ -45,7 +43,6 @@
 //! ```
 //! use homeguard_core::{Home, RuleStore};
 //! use hg_persist::{home_from_text, home_to_text};
-//! use std::sync::Arc;
 //!
 //! let store = RuleStore::shared();
 //! let mut home = Home::new(store.clone());
@@ -70,4 +67,4 @@
 pub mod codec;
 pub mod snapshot;
 
-pub use snapshot::{home_from_text, home_to_text, store_from_text, store_to_text, FleetSnapshot};
+pub use snapshot::{home_from_text, home_to_text};

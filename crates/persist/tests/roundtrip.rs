@@ -2,10 +2,28 @@
 //! survive serialize → parse → restore unchanged, and every malformed
 //! input must surface as a typed [`HgError`], never a panic or a
 //! half-applied restore.
+//!
+//! A fleet snapshot is a full journal [`Checkpoint`]; every fleet-level
+//! case goes through its one decoder and [`Fleet::restore`].
 
-use hg_persist::{home_from_text, home_to_text, store_from_text, FleetSnapshot};
-use hg_service::{Fleet, HgError, RuleStore};
+use hg_persist::{home_from_text, home_to_text};
+use hg_service::{Checkpoint, Fleet, HgError, RuleStore};
 use std::sync::Arc;
+
+/// The client-document path: the one image decoder, then restore.
+fn restore_text(text: &str) -> Result<Fleet, HgError> {
+    Fleet::restore(Checkpoint::from_text(text)?)
+}
+
+/// The detail of the typed [`HgError::Snapshot`] refusal `text` must
+/// meet on the restore path.
+fn refusal(text: &str) -> String {
+    match restore_text(text) {
+        Err(HgError::Snapshot(detail)) => detail,
+        Err(other) => panic!("{text:?}: expected a Snapshot error, got {other:?}"),
+        Ok(_) => panic!("{text:?} must be refused"),
+    }
+}
 
 const ON_APP: &str = r#"
 definition(name: "OnApp")
@@ -27,7 +45,7 @@ def h(evt) { lamp.off() }
 fn empty_fleet_round_trips() {
     let fleet = Fleet::builder(RuleStore::shared()).shards(8).build();
     let text = fleet.snapshot().unwrap().to_text();
-    let restored = Fleet::restore(FleetSnapshot::from_text(&text).unwrap()).unwrap();
+    let restored = restore_text(&text).unwrap();
     assert!(restored.is_empty());
     assert!(restored.store().is_empty());
     assert_eq!(restored.shard_count(), 8);
@@ -59,7 +77,7 @@ fn mid_rollout_fleet_round_trips_and_pending_reports_stay_confirmable() {
     let (pending_home, pending_report) = rollout.pending.into_iter().next().unwrap();
 
     let text = fleet.snapshot().unwrap().to_text();
-    let restored = Fleet::restore(FleetSnapshot::from_text(&text).unwrap()).unwrap();
+    let restored = restore_text(&text).unwrap();
 
     // The pending home still runs v1 after the restart...
     assert_eq!(
@@ -126,20 +144,16 @@ fn garbage_bytes_are_parse_errors_not_panics() {
         r#"{"version":1,"kind":"fleet","payload":{}}"#,
         r#"{"version":1,"kind":"fleet","payload":{"shards":0,"nextId":0,"store":{"config":{},"apps":[]},"homes":[]}}"#,
         r#"{"version":1,"kind":"home","payload":{}}"#,
+        r#"{"version":1,"kind":"journal-checkpoint"}"#,
+        r#"{"version":1,"kind":"journal-checkpoint","offset":0,"full":true,"shards":1,"nextId":0,"store":null,"homes":[],"removed":[]}"#,
+        r#"{"version":1,"kind":"journal-checkpoint","offset":0,"full":false,"shards":0,"nextId":0,"store":null,"homes":[],"removed":[]}"#,
         "\u{0}\u{1}\u{2}",
     ];
     for text in corpora {
-        assert!(
-            matches!(FleetSnapshot::from_text(text), Err(HgError::Snapshot(_))),
-            "fleet parse of {text:?} must be a typed error"
-        );
+        refusal(text);
         assert!(
             matches!(home_from_text(text), Err(HgError::Snapshot(_))),
             "home parse of {text:?} must be a typed error"
-        );
-        assert!(
-            matches!(store_from_text(text), Err(HgError::Snapshot(_))),
-            "store parse of {text:?} must be a typed error"
         );
     }
 }
@@ -152,14 +166,7 @@ fn truncated_snapshots_are_parse_errors() {
     let text = fleet.snapshot().unwrap().to_text();
     // Truncation at every eighth byte: all prefixes must fail cleanly.
     for cut in (0..text.len() - 1).step_by(8) {
-        let truncated = &text[..cut];
-        assert!(
-            matches!(
-                FleetSnapshot::from_text(truncated),
-                Err(HgError::Snapshot(_))
-            ),
-            "truncation at byte {cut} must be a typed error"
-        );
+        refusal(&text[..cut]);
     }
 }
 
@@ -179,13 +186,8 @@ fn negative_numeric_fields_are_refused_not_bitcast() {
         ("\"chainDepth\":4", "\"chainDepth\":-4"),
     ] {
         assert!(text.contains(field), "fixture lost field {field}");
-        let doc = text.replacen(field, forged, 1);
-        match FleetSnapshot::from_text(&doc) {
-            Err(HgError::Snapshot(detail)) => {
-                assert!(detail.contains("negative"), "{detail}")
-            }
-            other => panic!("forged {forged} must be refused, got {other:?}"),
-        }
+        let detail = refusal(&text.replacen(field, forged, 1));
+        assert!(detail.contains("negative"), "{detail}");
     }
 
     // Handling-table windows decode through the same guard.
@@ -205,16 +207,52 @@ fn wrong_version_and_kind_are_refused() {
     let text = fleet.snapshot().unwrap().to_text();
 
     let future = text.replacen("\"version\":1", "\"version\":999", 1);
-    match FleetSnapshot::from_text(&future) {
-        Err(HgError::Snapshot(detail)) => assert!(detail.contains("999"), "{detail}"),
-        other => panic!("expected Snapshot error, got {other:?}"),
-    }
+    let detail = refusal(&future);
+    assert!(detail.contains("999"), "{detail}");
 
-    // A fleet document is not a home document, even though both parse.
+    // A fleet image is not a home document, and a home document is not a
+    // fleet image, even though all of them parse.
     match home_from_text(&text) {
-        Err(HgError::Snapshot(detail)) => assert!(detail.contains("fleet"), "{detail}"),
+        Err(HgError::Snapshot(detail)) => {
+            assert!(detail.contains("journal-checkpoint"), "{detail}")
+        }
         other => panic!("expected Snapshot error, got {other:?}"),
     }
+    let id = fleet.create_home().unwrap();
+    let detail = refusal(&home_to_text(&fleet.export_home(id).unwrap()));
+    assert!(detail.contains("home"), "{detail}");
+}
+
+#[test]
+fn legacy_documents_duplicate_ids_and_deltas_are_refused() {
+    // A document in the retired `{"kind":"fleet"}` envelope is refused by
+    // kind, not half-read.
+    let legacy = r#"{"version":1,"kind":"fleet","payload":{"shards":2,"nextId":0,"store":{"config":{"allowNonstandardDevices":false,"modelUndocumentedApis":true,"maxPaths":64,"maxCallDepth":8,"loopUnroll":2},"apps":[]},"homes":[]}}"#;
+    let detail = refusal(legacy);
+    assert!(detail.contains("fleet"), "{detail}");
+
+    let fleet = Fleet::new(RuleStore::shared());
+    fleet.create_home().unwrap();
+    fleet.create_home().unwrap();
+    let text = fleet.snapshot().unwrap().to_text();
+
+    // The same home id twice: refused, never last-one-wins.
+    assert_eq!(text.matches("\"id\":1,").count(), 1, "{text}");
+    let detail = refusal(&text.replacen("\"id\":1,", "\"id\":0,", 1));
+    assert!(detail.contains("duplicate"), "{detail}");
+    // ...and by restore, for an image built in memory.
+    let mut image = fleet.snapshot().unwrap();
+    image.homes[1].0 = 0;
+    assert!(matches!(
+        Fleet::restore(image),
+        Err(HgError::Snapshot(detail)) if detail.contains("duplicate")
+    ));
+
+    // A delta decodes (the journal stores them) but cannot seed a fleet.
+    let delta = text.replacen("\"full\":true", "\"full\":false", 1);
+    assert!(!Checkpoint::from_text(&delta).unwrap().full);
+    let detail = refusal(&delta);
+    assert!(detail.contains("delta"), "{detail}");
 }
 
 #[test]
@@ -304,7 +342,7 @@ fn verdict_cache_is_never_serialized_and_restores_empty() {
         "no cache vocabulary may appear in the document"
     );
 
-    let restored = Fleet::restore(FleetSnapshot::from_text(&hot).unwrap()).unwrap();
+    let restored = restore_text(&hot).unwrap();
     let restored_cache = restored.store().verdict_cache();
     assert!(restored_cache.is_empty(), "restored cache must start cold");
     assert_eq!(restored_cache.stats().hits, 0);

@@ -21,9 +21,9 @@
 use crate::fleet::Fleet;
 use hg_config::ConfigInfo;
 use hg_detector::{DetectStats, Threat};
-use hg_journal::{journal_err, Checkpoint, CheckpointScheduler, CheckpointStats, Journal};
-use hg_journal::{JournalRecord, MaterializedFleet};
-use hg_persist::FleetSnapshot;
+use hg_journal::{
+    journal_err, Checkpoint, CheckpointScheduler, CheckpointStats, Journal, JournalRecord,
+};
 use hg_rules::Rule;
 use homeguard_core::{HgError, HomeId, InstallReport};
 use std::sync::Arc;
@@ -31,36 +31,23 @@ use std::time::{Duration, Instant};
 
 impl Fleet {
     /// Revives a fleet from its write-ahead journal — the crash-recovery
-    /// path. Folds the checkpoint chain into a base image, restores the
-    /// fleet from it ([`Fleet::restore`] semantics: ids, Allowed lists and
-    /// the ingest cache survive), replays every journal record at or past
-    /// the chain's offset through the public lifecycle methods, and
-    /// finally re-attaches the journal so the recovered fleet keeps
-    /// journaling where the crashed one stopped.
+    /// path. Folds the checkpoint chain into one full image, revives the
+    /// fleet from it exactly as [`Fleet::restore`] does (ids, Allowed
+    /// lists and the ingest cache survive), replays every journal record
+    /// at or past the image's offset through the public lifecycle
+    /// methods, and finally re-attaches the journal so the recovered fleet
+    /// keeps journaling where the crashed one stopped.
     ///
     /// # Errors
     ///
-    /// [`HgError::Journal`] when the chain is empty/corrupt or a record
-    /// cannot be replayed (the offending offset is named);
-    /// [`HgError::Snapshot`] when the materialized image is inconsistent.
+    /// [`HgError::Journal`] when the chain is empty, corrupt or
+    /// inconsistent, or a record cannot be replayed (the offending offset
+    /// is named).
     pub fn recover(journal: Arc<Journal>) -> Result<Fleet, HgError> {
-        let MaterializedFleet {
-            offset,
-            shards,
-            next_id,
-            store,
-            homes,
-        } = journal.materialize()?;
-        let fleet = Fleet::restore(FleetSnapshot {
-            shards,
-            next_id,
-            store,
-            homes: homes
-                .into_iter()
-                .map(|(raw, state)| (HomeId::new(raw), state))
-                .collect(),
-            telemetry: None,
-        })?;
+        let image = journal.materialize()?;
+        let offset = image.offset;
+        let fleet = Fleet::from_image(image)
+            .map_err(|e| journal_err(format!("checkpoint image at offset {offset}: {e}")))?;
         let records = journal.records_from(offset)?;
         let started = Instant::now();
         let replayed = records.len() as u64;
@@ -208,20 +195,7 @@ impl Fleet {
         let _cut = journal.gate_exclusive();
         let offset = journal.next_offset();
         if journal.checkpoint_count() == 0 {
-            let snapshot = self.snapshot()?;
-            return journal.checkpoint_write(&Checkpoint {
-                offset,
-                full: true,
-                shards: snapshot.shards,
-                next_id: snapshot.next_id,
-                store: Some(snapshot.store),
-                homes: snapshot
-                    .homes
-                    .into_iter()
-                    .map(|(id, state)| (id.raw(), state))
-                    .collect(),
-                removed: Vec::new(),
-            });
+            return journal.checkpoint_write(&self.image_at(offset)?);
         }
         let (dirty, removed, store_dirty) = journal.dirty_set();
         if dirty.is_empty() && removed.is_empty() && !store_dirty {
@@ -248,9 +222,9 @@ impl Fleet {
     }
 
     /// Re-arms a quarantined journal over the **live** fleet state: takes
-    /// the gate's exclusive side (no mutation is mid-flight), snapshots
-    /// the fleet, and hands [`Journal::heal`] a full checkpoint at the
-    /// journal's current offset. Healing closes the divergence window a
+    /// the gate's exclusive side (no mutation is mid-flight) and hands
+    /// [`Journal::heal`] a full image of the fleet at the journal's
+    /// current offset. Healing closes the divergence window a
     /// quarantine opens — any mutation applied while degraded (refused
     /// appends, [`hg_journal::DegradedPolicy::ServeUnjournaled`] traffic)
     /// is captured by the fresh image, so recovery no longer rolls back to
@@ -268,20 +242,7 @@ impl Fleet {
             .ok_or_else(|| journal_err("no journal attached"))?
             .clone();
         let _cut = journal.gate_exclusive();
-        let snapshot = self.snapshot()?;
-        journal.heal(&Checkpoint {
-            offset: journal.next_offset(),
-            full: true,
-            shards: snapshot.shards,
-            next_id: snapshot.next_id,
-            store: Some(snapshot.store),
-            homes: snapshot
-                .homes
-                .into_iter()
-                .map(|(id, state)| (id.raw(), state))
-                .collect(),
-            removed: Vec::new(),
-        })
+        journal.heal(&self.image_at(journal.next_offset())?)
     }
 }
 

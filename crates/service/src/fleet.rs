@@ -25,7 +25,6 @@
 
 use hg_config::ConfigInfo;
 use hg_journal::{journal_err, Admission, Checkpoint, Journal, JournalRecord};
-use hg_persist::FleetSnapshot;
 use hg_telemetry::{TelemetryBus, TelemetryEvent};
 use homeguard_core::{
     HgError, Home, HomeBuilder, HomeId, HomeState, InstallReport, MediationStats, PolicyTable,
@@ -357,20 +356,7 @@ impl Fleet {
         }
         if journal.checkpoint_count() == 0 {
             let _cut = journal.gate_exclusive();
-            let snapshot = self.snapshot()?;
-            journal.checkpoint_write(&Checkpoint {
-                offset: journal.next_offset(),
-                full: true,
-                shards: snapshot.shards,
-                next_id: snapshot.next_id,
-                store: Some(snapshot.store),
-                homes: snapshot
-                    .homes
-                    .into_iter()
-                    .map(|(id, state)| (id.raw(), state))
-                    .collect(),
-                removed: Vec::new(),
-            })?;
+            journal.checkpoint_write(&self.image_at(journal.next_offset())?)?;
         }
         Ok(self.journal.set(journal).is_ok())
     }
@@ -1302,9 +1288,10 @@ impl Fleet {
 
     /// Captures the whole service — the shared store (database, analyses,
     /// ingest fingerprints), every home's session state, and the
-    /// registry's routing parameters — as one consistent
-    /// [`FleetSnapshot`]. Serialize it with
-    /// [`FleetSnapshot::to_text`] and revive it with [`Fleet::restore`].
+    /// registry's routing parameters — as one consistent full
+    /// [`Checkpoint`] image. It names no journal position (offset 0), so
+    /// a live fleet and its recovery produce the same text. Serialize it
+    /// with [`Checkpoint::to_text`] and revive it with [`Fleet::restore`].
     ///
     /// Shards are captured one at a time under their read locks, so
     /// concurrent traffic on other shards proceeds; each home's state is
@@ -1316,86 +1303,93 @@ impl Fleet {
     /// [`HgError::Poisoned`] when any shard lock is poisoned: a
     /// quarantined home's state cannot be trusted, and silently snapshotting
     /// around it would persist a fleet that claims to be whole.
-    pub fn snapshot(&self) -> Result<FleetSnapshot, HgError> {
+    pub fn snapshot(&self) -> Result<Checkpoint, HgError> {
+        self.image_at(0)
+    }
+
+    /// The one fleet → full image export, stamped at journal `offset`:
+    /// [`Fleet::snapshot`] at 0, and the journal's baseline, first and
+    /// heal checkpoints at the journal's next offset under its gate.
+    pub(crate) fn image_at(&self, offset: u64) -> Result<Checkpoint, HgError> {
         let started = self.telemetry.get().map(|_| Instant::now());
         let mut homes = Vec::new();
         for shard in &self.shards {
             let shard = shard.read().map_err(|_| HgError::Poisoned("fleet shard"))?;
             for (&id, home) in shard.iter() {
-                homes.push((id, home.export_state()));
+                homes.push((id.raw(), home.export_state()));
             }
         }
         homes.sort_by_key(|(id, _)| *id);
-        let snapshot = FleetSnapshot {
+        let image = Checkpoint {
+            offset,
+            full: true,
             shards: self.shards.len(),
             next_id: self.next_id.load(Ordering::Relaxed),
-            store: self.store.export_state(),
+            store: Some(self.store.export_state()),
             homes,
-            // Ground truth only: observability aggregates are injected by
-            // the serving layer (`hg-api`) at persist time, keeping this
-            // document bit-identical with or without a bus attached.
-            telemetry: None,
+            removed: Vec::new(),
         };
         if let Some(bus) = self.telemetry.get() {
             bus.publish(TelemetryEvent::SnapshotTaken {
-                homes: snapshot.homes.len() as u64,
+                homes: image.homes.len() as u64,
                 micros: started.map_or(0, |t| t.elapsed().as_micros() as u64),
             });
         }
-        Ok(snapshot)
+        Ok(image)
     }
 
-    /// Revives a fleet from a snapshot — the warm-restart path. The store
-    /// comes back with its ingest cache live, every home is rebuilt from
-    /// its ground truth (derived state — detection postings, mediation
-    /// points, enforcers — is reconstructed, never deserialized), shard
-    /// routing and the id counter are preserved so existing [`HomeId`]
-    /// handles stay valid and future ids never collide. The home template
-    /// for *future* [`Fleet::create_home`] calls resets to deployment
-    /// defaults; use [`Fleet::restore_with`] to customize it.
+    /// Revives a fleet from a full image — the warm-restart path, and
+    /// recovery with an empty journal tail. The store comes back with its
+    /// ingest cache live, every home is rebuilt from its ground truth
+    /// (derived state — detection postings, mediation points, enforcers —
+    /// is reconstructed, never deserialized), shard routing and the id
+    /// counter are preserved so existing [`HomeId`] handles stay valid and
+    /// future ids never collide. The home template for *future*
+    /// [`Fleet::create_home`] calls resets to deployment defaults.
     ///
     /// # Errors
     ///
-    /// [`HgError::Snapshot`] when the snapshot's ids exceed its own
-    /// `next_id` counter (a forged or corrupted document).
-    pub fn restore(snapshot: FleetSnapshot) -> Result<Fleet, HgError> {
-        Fleet::restore_with(snapshot, |builder| builder)
+    /// [`HgError::Snapshot`] when the image is a delta, lacks a store,
+    /// lists a home twice, or holds ids beyond its own `next_id` counter
+    /// (a forged or corrupted document).
+    pub fn restore(image: Checkpoint) -> Result<Fleet, HgError> {
+        Fleet::from_image(image)
     }
 
-    /// [`Fleet::restore`] with a customized template for homes created
-    /// after the restart (the restored homes carry their own state and are
-    /// not affected).
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::restore`].
-    pub fn restore_with(
-        snapshot: FleetSnapshot,
-        customize: impl FnOnce(HomeBuilder) -> HomeBuilder,
-    ) -> Result<Fleet, HgError> {
-        if let Some((id, _)) = snapshot
-            .homes
-            .iter()
-            .find(|(id, _)| id.raw() >= snapshot.next_id)
-        {
+    /// The one full image → fleet constructor, shared by
+    /// [`Fleet::restore`] and [`Fleet::recover`]. Every state moves into
+    /// its session; nothing is cloned.
+    pub(crate) fn from_image(image: Checkpoint) -> Result<Fleet, HgError> {
+        if !image.full {
             return Err(HgError::Snapshot(format!(
-                "{id} is not covered by the snapshot's id counter {}",
-                snapshot.next_id
+                "a delta image (offset {}) cannot seed a fleet",
+                image.offset
             )));
         }
-        let store = Arc::new(RuleStore::restore_state(snapshot.store));
-        let fleet = Fleet::builder(store.clone())
-            .shards(snapshot.shards)
-            .home_defaults(customize)
-            .build();
-        fleet.next_id.store(snapshot.next_id, Ordering::Relaxed);
-        for (id, state) in snapshot.homes {
+        let store = image
+            .store
+            .ok_or_else(|| HgError::Snapshot("full image missing store state".into()))?;
+        if let Some((id, _)) = image.homes.iter().find(|(id, _)| *id >= image.next_id) {
+            return Err(HgError::Snapshot(format!(
+                "{} is not covered by the image's id counter {}",
+                HomeId::new(*id),
+                image.next_id
+            )));
+        }
+        let store = Arc::new(RuleStore::restore_state(store));
+        let fleet = Fleet::builder(store.clone()).shards(image.shards).build();
+        fleet.next_id.store(image.next_id, Ordering::Relaxed);
+        for (raw, state) in image.homes {
+            let id = HomeId::new(raw);
             let home = Home::restore_state(store.clone(), state);
-            fleet
+            let displaced = fleet
                 .shard(id)
                 .write()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .insert(id, home);
+            if displaced.is_some() {
+                return Err(HgError::Snapshot(format!("duplicate home id {raw}")));
+            }
         }
         Ok(fleet)
     }
@@ -1676,7 +1670,7 @@ def h(evt) { lamp.off() }
         fleet.install_app(b, ON_APP, "OnApp", None).unwrap();
 
         let text = fleet.snapshot().unwrap().to_text();
-        let restored = Fleet::restore(FleetSnapshot::from_text(&text).unwrap()).unwrap();
+        let restored = Fleet::restore(Checkpoint::from_text(&text).unwrap()).unwrap();
 
         // Same registry: ids, routing, counts.
         assert_eq!(restored.shard_count(), 4);
@@ -1724,8 +1718,15 @@ def h(evt) { lamp.off() }
         let id = fleet.create_home().unwrap();
         let mut snapshot = fleet.snapshot().unwrap();
         snapshot.next_id = id.raw(); // forged: the counter excludes `id`
+
+        // Refused in memory and after a trip through the one decoder.
+        let text = snapshot.to_text();
         assert!(matches!(
             Fleet::restore(snapshot),
+            Err(HgError::Snapshot(_))
+        ));
+        assert!(matches!(
+            Fleet::restore(Checkpoint::from_text(&text).unwrap()),
             Err(HgError::Snapshot(_))
         ));
     }

@@ -20,8 +20,9 @@
 //!   home, an unknown app, a corrupt rule file, a poisoned shard and a
 //!   malformed snapshot are distinct, per-home recoverable conditions.
 //! * **Durability** — [`Fleet::snapshot`] / [`Fleet::restore`] capture and
-//!   revive the whole service through `hg-persist` (warm restart: ids,
-//!   Allowed lists and the ingest cache survive), [`Fleet::export_home`] /
+//!   revive the whole service as one full [`Checkpoint`] image, the same
+//!   format the journal stores (warm restart: ids, Allowed lists and the
+//!   ingest cache survive), [`Fleet::export_home`] /
 //!   [`Fleet::import_home`] migrate one session between processes, and
 //!   [`Fleet::force_uninstall`] retracts a store-pulled app from every
 //!   home *and* the shared database. With a write-ahead [`Journal`]
@@ -81,10 +82,10 @@ pub use fleet::{
     BulkOutcomes, Fleet, FleetBuilder, ForceUninstall, ShardRollout, ShardUninstall, UpgradeRollout,
 };
 pub use hg_journal::{
-    Admission, CheckpointScheduler, CheckpointStats, DegradedPolicy, DirBackend, FaultBackend,
-    FaultKind, FaultPlan, Journal, JournalConfig, JournalRecord, JournalState, MemBackend,
+    Admission, Checkpoint, CheckpointScheduler, CheckpointStats, DegradedPolicy, DirBackend,
+    FaultBackend, FaultKind, FaultPlan, Journal, JournalConfig, JournalRecord, JournalState,
+    MemBackend,
 };
-pub use hg_persist::FleetSnapshot;
 pub use hg_telemetry::{TelemetryBus, TelemetryEvent};
 pub use homeguard_core::{
     frontend, HgError, Home, HomeBuilder, HomeId, HomeState, InstallReport, MediationStats,

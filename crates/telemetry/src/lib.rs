@@ -11,8 +11,8 @@
 //!   costs history, never throughput.
 //! * [`MetricsRegistry`] — counters, gauges, fixed-bucket histograms and
 //!   the paper's fleet analytics (per-app interference table, latency
-//!   splits), folded in off the hot path and snapshot-able as a JSON
-//!   envelope for warm restarts.
+//!   splits), folded in off the hot path. Aggregates count what this
+//!   process observed and are never persisted.
 //! * [`TelemetryHub`] — bus + registry + the collector thread between
 //!   them, with a [`sync`](TelemetryHub::sync) handshake that makes
 //!   scrape-time totals exact.

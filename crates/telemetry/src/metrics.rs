@@ -5,10 +5,9 @@
 //! itself; the [`TelemetryHub`](crate::TelemetryHub) collector thread
 //! drains the bus and feeds [`MetricsRegistry::ingest`]. Everything lives
 //! behind one mutex (ingest is a handful of map bumps, far off any hot
-//! path), and the whole aggregate state round-trips through a JSON
-//! envelope ([`MetricsRegistry::export_state`] /
-//! [`MetricsRegistry::absorb_state`]) so counters and histograms ride
-//! fleet snapshots and restore warm.
+//! path). Aggregates are process-lifetime: they count what this process
+//! observed and are never persisted, so a restore or a recovery leaves
+//! them exactly where they were.
 //!
 //! The derived tables answer the paper's fleet questions directly:
 //! the per-app interference table is Fig. 8 at fleet scale (which store
@@ -495,220 +494,7 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Exports every aggregate as a versioned JSON payload — the
-    /// `telemetry` envelope a fleet snapshot carries. Gauges are omitted:
-    /// they are re-sampled live, not historical.
-    pub fn export_state(&self) -> Json {
-        let inner = lock(&self.inner);
-        Json::obj([
-            ("v", Json::Num(1)),
-            (
-                "counters",
-                Json::Obj(
-                    inner
-                        .counters
-                        .iter()
-                        .map(|(k, v)| ((*k).to_string(), Json::Num(*v as i64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "threat_kinds",
-                Json::Obj(
-                    inner
-                        .threat_kinds
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as i64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "verdicts",
-                Json::Obj(
-                    inner
-                        .verdicts
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as i64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms",
-                Json::Obj(
-                    inner
-                        .histograms
-                        .iter()
-                        .map(|(name, h)| {
-                            (
-                                (*name).to_string(),
-                                Json::obj([
-                                    (
-                                        "counts",
-                                        Json::Arr(
-                                            h.counts.iter().map(|c| Json::Num(*c as i64)).collect(),
-                                        ),
-                                    ),
-                                    ("count", Json::Num(h.count as i64)),
-                                    ("sum", Json::Num(h.sum as i64)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "interference",
-                Json::Obj(
-                    inner
-                        .interference
-                        .iter()
-                        .map(|(app, row)| {
-                            (
-                                app.clone(),
-                                Json::obj([
-                                    ("installs", Json::Num(row.installs as i64)),
-                                    ("dirty", Json::Num(row.dirty as i64)),
-                                    ("threats", Json::Num(row.threats as i64)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Absorbs a previously exported payload **additively** — restoring
-    /// into a fresh registry reproduces the exported aggregates exactly;
-    /// events ingested after the restore keep accumulating on top (the
-    /// warm-restart cut-over). Unknown fields and histogram names are
-    /// ignored; a non-`v:1` payload is refused.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the structural mismatch.
-    pub fn absorb_state(&self, state: &Json) -> Result<(), String> {
-        if state.get("v").and_then(Json::as_num) != Some(1) {
-            return Err("unsupported telemetry state version".to_string());
-        }
-        let mut inner = lock(&self.inner);
-        if let Some(Json::Obj(counters)) = state.get("counters") {
-            for (name, value) in counters {
-                let Some(value) = value.as_num().filter(|v| *v >= 0) else {
-                    return Err(format!("counter `{name}` is not a non-negative number"));
-                };
-                // Intern through the known-name table: counter keys are
-                // &'static str, so only names this build knows can revive.
-                if let Some(known) = KNOWN_COUNTERS.iter().find(|k| **k == name.as_str()) {
-                    *inner.counters.entry(known).or_insert(0) += value as u64;
-                }
-            }
-        }
-        if let Some(Json::Obj(kinds)) = state.get("threat_kinds") {
-            for (kind, value) in kinds {
-                let add = value.as_num().unwrap_or(0).max(0) as u64;
-                *inner.threat_kinds.entry(kind.clone()).or_insert(0) += add;
-            }
-        }
-        if let Some(Json::Obj(verdicts)) = state.get("verdicts") {
-            for (verdict, value) in verdicts {
-                let add = value.as_num().unwrap_or(0).max(0) as u64;
-                *inner.verdicts.entry(verdict.clone()).or_insert(0) += add;
-            }
-        }
-        if let Some(Json::Obj(histograms)) = state.get("histograms") {
-            for (name, h) in histograms {
-                let Some(known) = KNOWN_HISTOGRAMS.iter().find(|k| **k == name.as_str()) else {
-                    continue;
-                };
-                let counts: Vec<u64> = h
-                    .get("counts")
-                    .and_then(Json::as_arr)
-                    .map(|arr| {
-                        arr.iter()
-                            .map(|c| c.as_num().unwrap_or(0).max(0) as u64)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let slot = inner
-                    .histograms
-                    .entry(known)
-                    .or_insert_with(|| Histogram::new(bounds_for(known)));
-                if counts.len() != slot.counts.len() {
-                    return Err(format!("histogram `{name}` has a mismatched bucket layout"));
-                }
-                for (mine, theirs) in slot.counts.iter_mut().zip(&counts) {
-                    *mine += theirs;
-                }
-                slot.count += h.get("count").and_then(Json::as_num).unwrap_or(0).max(0) as u64;
-                slot.sum += h.get("sum").and_then(Json::as_num).unwrap_or(0).max(0) as u128;
-            }
-        }
-        if let Some(Json::Obj(interference)) = state.get("interference") {
-            for (app, row) in interference {
-                let get =
-                    |field: &str| row.get(field).and_then(Json::as_num).unwrap_or(0).max(0) as u64;
-                let entry = inner.interference.entry(app.clone()).or_default();
-                entry.installs += get("installs");
-                entry.dirty += get("dirty");
-                entry.threats += get("threats");
-            }
-        }
-        Ok(())
-    }
 }
-
-/// Counter names a restore may revive (keys are `&'static str`, so the
-/// envelope's strings must intern through this table).
-const KNOWN_COUNTERS: &[&str] = &[
-    "events_consumed_total",
-    "homes_created_total",
-    "installs_total",
-    "installs_clean_total",
-    "installs_dirty_total",
-    "upgrades_total",
-    "uninstalls_total",
-    "uninstall_rules_removed_total",
-    "uninstall_threats_retired_total",
-    "pairs_checked_total",
-    "solves_total",
-    "cache_hits_total",
-    "cache_misses_total",
-    "lowered_hits_total",
-    "solver_fallbacks_total",
-    "cache_probes_total",
-    "threats_total",
-    "mediation_events_total",
-    "mediation_mediated_total",
-    "sweep_shards_total",
-    "sweep_homes_total",
-    "snapshots_total",
-    "snapshot_micros_total",
-    "queue_saturated_total",
-    "journal_appends_total",
-    "journal_records_total",
-    "journal_bytes_total",
-    "journal_syncs_total",
-    "journal_sync_micros_total",
-    "journal_checkpoints_total",
-    "journal_checkpoint_homes_total",
-    "journal_checkpoint_micros_total",
-    "journal_replays_total",
-    "journal_replayed_records_total",
-    "journal_replay_micros_total",
-    "io_retry_events_total",
-    "io_retries_total",
-    "journal_degraded_total",
-    "journal_healed_total",
-];
-
-const KNOWN_HISTOGRAMS: &[&str] = &[
-    "install_micros",
-    "mediation_latency_ns",
-    "pair_check_micros_cached",
-    "pair_check_micros_uncached",
-];
 
 fn histogram_json(h: &Histogram) -> Json {
     Json::obj([
@@ -898,46 +684,5 @@ mod tests {
         assert_eq!(reg.counter("journal_checkpoint_homes_total"), 5);
         assert_eq!(reg.counter("journal_replays_total"), 1);
         assert_eq!(reg.counter("journal_replayed_records_total"), 2);
-        // Journal counters survive the snapshot envelope.
-        let state = reg.export_state();
-        let fresh = MetricsRegistry::new();
-        fresh.absorb_state(&state).unwrap();
-        assert_eq!(fresh.counter("journal_bytes_total"), 300);
-    }
-
-    #[test]
-    fn export_absorb_round_trips_every_aggregate() {
-        let reg = MetricsRegistry::new();
-        reg.ingest(&install("A", false));
-        reg.ingest(&TelemetryEvent::ThreatDetected {
-            home: 0,
-            kind: "CT",
-            source_app: "A".into(),
-            target_app: "A".into(),
-        });
-        reg.ingest(&TelemetryEvent::MediationDecision {
-            home: 0,
-            kind: "CT",
-            verdict: "suppress",
-            latency_ns: 700,
-        });
-        reg.set_gauge("shard_queue_depth_0", 3);
-
-        let state = reg.export_state();
-        let fresh = MetricsRegistry::new();
-        fresh.absorb_state(&state).unwrap();
-        // Every counter and histogram revives exactly; gauges don't ride.
-        assert_eq!(fresh.export_state().to_text(), state.to_text());
-        assert_eq!(fresh.counter("installs_total"), 1);
-        assert_eq!(fresh.counter("mediation_mediated_total"), 1);
-        assert_eq!(fresh.histogram("mediation_latency_ns").unwrap().count, 1);
-        assert_eq!(fresh.gauge("shard_queue_depth_0"), None);
-        // The restored registry keeps accumulating — the cut-over.
-        fresh.ingest(&install("A", true));
-        assert_eq!(fresh.counter("installs_total"), 2);
-        // Version gate.
-        assert!(fresh
-            .absorb_state(&Json::obj([("v", Json::Num(2))]))
-            .is_err());
     }
 }

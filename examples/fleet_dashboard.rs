@@ -4,7 +4,7 @@
 //! Prometheus text, the per-app interference table (paper Fig. 8), the
 //! verdict-cache hot-pair leaderboard, the latency histograms, a live
 //! `/events/stream` NDJSON tail — and prove the counters reconcile with
-//! the traffic and survive a snapshot→restore warm restart.
+//! the traffic and stay exact across a snapshot→restore warm restart.
 //!
 //! Run with: `cargo run -p homeguard-examples --bin fleet_dashboard`
 
@@ -256,16 +256,18 @@ fn main() {
     }
     assert_eq!(lines.len(), 6, "the limit bounds the tail");
 
-    // ---- warm restart: aggregates ride the snapshot --------------------
-    let (_, snapshot) = call(addr, "GET", "/snapshot", Some(&token), None);
-    assert!(
-        json(&snapshot)
-            .get("payload")
-            .and_then(|p| p.get("telemetry"))
-            .is_some(),
-        "the snapshot carries the telemetry envelope"
-    );
-    let installs_before = counter("installs_total");
+    // ---- warm restart: counters stay exact across a restore -----------
+    let (status, snapshot) = call(addr, "GET", "/snapshot", Some(&token), None);
+    assert_eq!(status, 200);
+    let installs_total = || {
+        let (_, body) = call(addr, "GET", "/metrics", None, None);
+        json(&body)
+            .get("counters")
+            .and_then(|c| c.get("installs_total"))
+            .and_then(Json::as_num)
+            .unwrap_or(0)
+    };
+    let installs_before = installs_total();
     let (status, _) = call(
         addr,
         "POST",
@@ -274,22 +276,12 @@ fn main() {
         Some(&json(&snapshot)),
     );
     assert_eq!(status, 200);
-    let (_, body) = call(addr, "GET", "/metrics", None, None);
-    let after = json(&body);
-    let installs_after = after
-        .get("counters")
-        .and_then(|c| c.get("installs_total"))
-        .and_then(Json::as_num)
-        .unwrap_or(0);
-    assert!(
-        installs_after >= 2 * installs_before,
-        "restore absorbs the envelope on top of the live registry \
-         ({installs_before} → {installs_after})"
+    let installs_after = installs_total();
+    assert_eq!(
+        installs_after, installs_before,
+        "a restore swaps the fleet and re-counts no traffic"
     );
-    println!(
-        "\nwarm restart: installs_total {installs_before} → {installs_after} \
-         (live registry + absorbed envelope)"
-    );
+    println!("\nwarm restart: installs_total {installs_before} → {installs_after} (unchanged)");
 
     server.shutdown();
     println!("=== dashboard audit complete ===");

@@ -8,8 +8,7 @@
 //!
 //! Run with: `cargo run -p homeguard-examples --bin warm_restart`
 
-use hg_persist::FleetSnapshot;
-use hg_service::{Fleet, RuleStore};
+use hg_service::{Checkpoint, Fleet, RuleStore};
 
 fn main() {
     let fleet = Fleet::new(RuleStore::shared());
@@ -43,7 +42,7 @@ fn main() {
     drop(fleet); // the process dies
 
     // ---- restore: the warm restart -------------------------------------
-    let fleet = Fleet::restore(FleetSnapshot::from_text(&text).expect("intact bytes"))
+    let fleet = Fleet::restore(Checkpoint::from_text(&text).expect("intact bytes"))
         .expect("snapshot is well-formed");
     println!(
         "restored: {} homes, {} store apps",

@@ -19,7 +19,7 @@
 //!   (checkpoint folding + segment drops) preserves all of it.
 
 use hg_config::ConfigInfo;
-use hg_journal::{Journal, MemBackend};
+use hg_journal::{Checkpoint, Journal, MemBackend};
 use hg_service::{Fleet, HomeId, PolicyTable, RuleStore};
 use homeguard_core::{HandlingPolicy, HgError};
 use std::collections::BTreeMap;
@@ -214,8 +214,7 @@ fn crash_everywhere(backend: &MemBackend, total: u64, boundaries: &BTreeMap<u64,
             None => {
                 // Mid-operation boundary: no recorded ground truth, but the
                 // recovered fleet must still be fully consistent.
-                let reread =
-                    Fleet::restore(hg_persist::FleetSnapshot::from_text(&text).unwrap()).unwrap();
+                let reread = Fleet::restore(Checkpoint::from_text(&text).unwrap()).unwrap();
                 assert_eq!(snapshot_text(&reread), text, "cut {cut}: round-trip");
             }
         }

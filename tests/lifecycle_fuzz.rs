@@ -426,18 +426,6 @@ fn lowered_detection_matches_solver_over_seeded_churn() {
     // the lowered tier AND fall back to the solver (covert-trigger
     // channel checks always consult it), while the forced twin must
     // never touch either counter.
-    //
-    // `HG_LOWERED_PAIRS=off` deliberately wins over the builder knob, so
-    // under that override both twins are solver-forced and the
-    // differential is vacuous — skip rather than fail the run whose
-    // entire point is forcing the solver everywhere.
-    if matches!(
-        std::env::var("HG_LOWERED_PAIRS").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    ) {
-        eprintln!("HG_LOWERED_PAIRS=off: lowering differential skipped (both twins solver-forced)");
-        return;
-    }
     let mut lowered_total = 0u64;
     let mut fallback_total = 0u64;
     let mut upgrades = 0usize;

@@ -13,11 +13,10 @@
 //! * and a restored-then-upgraded home stays clean — no stale store
 //!   fingerprints, no dangling `Priority` ranks.
 
-use hg_persist::FleetSnapshot;
 use hg_rules::rule::{ActionSubject, Rule, RuleId, Trigger};
 use hg_rules::value::Value;
 use hg_rules::varid::DeviceRef;
-use hg_service::{Fleet, HomeId, PolicyTable, RuleStore};
+use hg_service::{Checkpoint, Fleet, HomeId, PolicyTable, RuleStore};
 use homeguard_core::HandlingPolicy;
 use std::collections::BTreeSet;
 
@@ -276,7 +275,7 @@ fn restored_fleet_is_behaviorally_identical_to_the_live_one() {
 
         // Restart: only the snapshot text crosses the process boundary.
         let text = fleet.snapshot().unwrap().to_text();
-        let restored = Fleet::restore(FleetSnapshot::from_text(&text).unwrap()).unwrap();
+        let restored = Fleet::restore(Checkpoint::from_text(&text).unwrap()).unwrap();
         assert_eq!(restored.home_ids(), fleet.home_ids());
         assert_eq!(restored.store().len(), fleet.store().len());
 

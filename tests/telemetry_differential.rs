@@ -8,15 +8,12 @@
 //! observable outputs (install/uninstall reports, rollout merges, the
 //! snapshot document) must be bit-identical to the silent fleet's; the
 //! hub's counters must then equal a direct recount of the bus events.
-//! Finally the aggregate envelope rides a snapshot through text and
-//! restores warm into a fresh registry with nothing lost.
 
-use hg_persist::FleetSnapshot;
 use hg_service::{
     DegradedPolicy, FaultBackend, FaultKind, FaultPlan, Fleet, HomeId, Journal, JournalConfig,
     MemBackend, RuleStore, TelemetryEvent,
 };
-use hg_telemetry::{MetricsRegistry, TelemetryHub};
+use hg_telemetry::TelemetryHub;
 use homeguard_core::HgError;
 use std::sync::Arc;
 use std::time::Duration;
@@ -115,9 +112,8 @@ fn attached_bus_changes_no_report_and_no_persisted_byte() {
         "every report must be identical with the bus attached"
     );
 
-    // The persisted documents are bit-identical: a fleet-level snapshot
-    // never embeds observability state (the API layer injects the
-    // envelope separately).
+    // The persisted documents are bit-identical: a fleet image never
+    // embeds observability state.
     let silent_doc = silent.snapshot().unwrap().to_text();
     let wired_doc = wired.snapshot().unwrap().to_text();
     assert_eq!(
@@ -267,52 +263,5 @@ fn fault_policy_events_reconcile_exactly_with_registry_totals() {
     assert_eq!(registry.counter("io_retries_total"), retries);
     assert_eq!(registry.counter("journal_degraded_total"), degraded);
     assert_eq!(registry.counter("journal_healed_total"), healed);
-    hub.stop();
-}
-
-#[test]
-fn telemetry_envelope_rides_snapshots_and_restores_warm() {
-    let fleet = Fleet::builder(RuleStore::shared()).shards(2).build();
-    let hub = TelemetryHub::start();
-    assert!(fleet.attach_telemetry(hub.bus().clone()));
-    churn(&fleet);
-
-    let mut snapshot = fleet.snapshot().unwrap();
-    assert!(
-        snapshot.telemetry.is_none(),
-        "the fleet itself never embeds the envelope"
-    );
-    assert!(hub.sync(Duration::from_secs(5)));
-    let envelope = hub.registry().export_state();
-    snapshot.telemetry = Some(envelope.clone());
-
-    // Through text and back: the envelope survives verbatim…
-    let text = snapshot.to_text();
-    let revived = FleetSnapshot::from_text(&text).unwrap();
-    let carried = revived.telemetry.clone().expect("envelope must ride");
-    assert_eq!(carried.to_text(), envelope.to_text());
-
-    // …and a fresh registry absorbing it reproduces every aggregate.
-    let fresh = MetricsRegistry::new();
-    fresh.absorb_state(&carried).unwrap();
-    assert_eq!(
-        fresh.export_state().to_text(),
-        envelope.to_text(),
-        "snapshot→restore must preserve every counter, histogram and row"
-    );
-    assert_eq!(
-        fresh.counter("installs_total"),
-        hub.registry().counter("installs_total")
-    );
-
-    // The fleet side restores independently of the envelope.
-    let back = Fleet::restore(revived).unwrap();
-    assert_eq!(back.len(), fleet.len());
-
-    // Stripping the envelope reproduces the pre-telemetry document
-    // exactly — old readers and writers stay byte-compatible.
-    let mut stripped = FleetSnapshot::from_text(&text).unwrap();
-    stripped.telemetry = None;
-    assert_eq!(stripped.to_text(), fleet.snapshot().unwrap().to_text());
     hub.stop();
 }
