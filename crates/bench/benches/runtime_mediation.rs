@@ -10,7 +10,7 @@
 //! a mediated home pays.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hg_detector::{Threat, ThreatKind, Unification};
+use hg_detector::{Detector, Threat, ThreatKind};
 use hg_rules::constraint::Formula;
 use hg_rules::rule::{Action, Condition, Rule, RuleId, Trigger};
 use hg_rules::value::Value;
@@ -99,7 +99,7 @@ fn bench_runtime_mediation(c: &mut Criterion) {
         let mut enforcer = Enforcer::from_threats(
             &threats,
             &rules,
-            &Unification::ByType,
+            &Detector::store_wide(),
             &PolicyTable::block_all(),
         );
         // Sanity outside the timing loop: every pair must mediate.

@@ -121,9 +121,10 @@ impl HomeBuilder {
     }
 
     /// Whether the session's detector consults the store's fleet-shared
-    /// [`VerdictCache`](hg_detector::VerdictCache) (default: true). The
-    /// differential harnesses disable it to obtain the uncached ground
-    /// truth the cached path must be bit-identical to.
+    /// [`VerdictCache`](hg_detector::VerdictCache) (default: true), for
+    /// pair verdicts and for the fleet-shared rule preparations alike. The
+    /// differential harnesses disable it to obtain the uncached, privately
+    /// prepared ground truth the shared path must be bit-identical to.
     ///
     /// This is a session-local diagnostic knob, not durable
     /// configuration: it is absent from [`HomeState`], and a session
@@ -1021,9 +1022,12 @@ impl Home {
     }
 
     fn compile_mediation(&self) -> MediationIndex {
-        let rules: Vec<Rule> = self.installed_rules().into_iter().cloned().collect();
-        let unification = self.detector().unification;
-        MediationIndex::compile(&self.allowed, &rules, &unification, &self.handling)
+        MediationIndex::compile(
+            &self.allowed,
+            self.engine.installed_rules(),
+            self.engine.detector(),
+            &self.handling,
+        )
     }
 }
 

@@ -6,7 +6,7 @@
 //! results are reused across threat kinds exactly as Fig. 9's green dotted
 //! edges describe: CT/SD/LT reuse the AR overlap result, DC reuses EC's.
 
-use crate::index::{prepare_with, PreparedRule};
+use crate::index::PreparedRule;
 use crate::lowering::{self, LoweredProgram};
 use crate::overlap::{OverlapSolver, Unification};
 use crate::report::{DetectStats, Threat, ThreatKind};
@@ -91,18 +91,31 @@ impl Detector {
         self
     }
 
+    /// Prepares `rule` for detection under this detector's unification —
+    /// the one preparation path every engine entry point and runtime
+    /// mediation go through. A type-unified rule prepares identically in
+    /// every home, so with a fleet cache attached it comes from the
+    /// cache's shared memo ([`VerdictCache::prepared`]): one preparation
+    /// per rule serves the fleet. Device-bound forms are home-unique and
+    /// are prepared privately, as is everything without a cache.
+    pub fn prepare(&self, rule: &Rule) -> Arc<PreparedRule> {
+        match (&self.cache, &self.unification) {
+            (Some(cache), Unification::ByType) => cache.prepared(rule),
+            _ => Arc::new(PreparedRule::prepare(rule, &self.unification)),
+        }
+    }
+
     /// Detects all CAI threats between two rules (both directions for the
     /// directed categories).
     pub fn detect_pair(&self, r1: &Rule, r2: &Rule) -> (Vec<Threat>, DetectStats) {
-        let p1 = prepare_with(self, r1);
-        let p2 = prepare_with(self, r2);
-        self.detect_pair_prepared(&p1, &p2)
+        self.detect_pair_prepared(&self.prepare(r1), &self.prepare(r2))
     }
 
     /// Detects all CAI threats between two [`PreparedRule`]s, skipping the
     /// per-pair unification work. This is the inner loop of the incremental
     /// [`DetectionEngine`](crate::DetectionEngine): rules are prepared once
-    /// per session and reused across every candidate pair.
+    /// (see [`prepare`](Self::prepare)) and reused across every candidate
+    /// pair.
     pub fn detect_pair_prepared(
         &self,
         p1: &PreparedRule,
@@ -290,17 +303,18 @@ impl<'a> PairCx<'a> {
     }
 
     /// Answers one overlap question through the tiered pipeline: the
-    /// lowered evaluator when both sides compiled and the pairwise check
-    /// decides (bit-identical to the solver by construction), the full
-    /// solver otherwise. A lowered answer still counts as a `solve` so
-    /// the logical effort counters match a solver-forced twin exactly.
+    /// lowered evaluator when both sides compile (`lowered` picks the
+    /// program, compiled on first use) and the pairwise check decides
+    /// (bit-identical to the solver by construction), the full solver
+    /// otherwise. A lowered answer still counts as a `solve` so the
+    /// logical effort counters match a solver-forced twin exactly.
     fn tiered_solve(
         &mut self,
-        lowered: (Option<&LoweredProgram>, Option<&LoweredProgram>),
+        lowered: fn(&PreparedRule) -> Option<&LoweredProgram>,
         formulas: &[&Formula],
     ) -> Outcome {
         if self.detector.lowered_pairs {
-            if let (Some(a), Some(b)) = lowered {
+            if let (Some(a), Some(b)) = (lowered(self.pair[0]), lowered(self.pair[1])) {
                 if let Some(outcome) = lowering::check_pair(a, b, &self.detector.solver) {
                     self.stats.solves += 1;
                     self.stats.lowered_hits += 1;
@@ -314,7 +328,7 @@ impl<'a> PairCx<'a> {
     /// The overlap of both rules' full situations (trigger constraints plus
     /// conditions), computed once and reused. The situation conjunctions
     /// themselves were precomputed at preparation — no per-pair formula
-    /// cloning — and so were their lowered programs.
+    /// cloning — and their lowered programs compile once per rule.
     fn situation_overlap(&mut self) -> Outcome {
         if let Some(o) = self.situation_overlap.clone() {
             self.stats.reused += 1;
@@ -323,7 +337,7 @@ impl<'a> PairCx<'a> {
         let p1: &'a PreparedRule = self.pair[0];
         let p2: &'a PreparedRule = self.pair[1];
         let outcome = self.tiered_solve(
-            (p1.lowered_situation(), p2.lowered_situation()),
+            PreparedRule::lowered_situation,
             &[p1.situation(), p2.situation()],
         );
         self.situation_overlap = Some(outcome.clone());
@@ -337,12 +351,9 @@ impl<'a> PairCx<'a> {
             self.stats.reused += 1;
             return o;
         }
-        let p1: &'a PreparedRule = self.pair[0];
-        let p2: &'a PreparedRule = self.pair[1];
         let c1 = &self.unified(0).condition.predicate;
         let c2 = &self.unified(1).condition.predicate;
-        let outcome =
-            self.tiered_solve((p1.lowered_condition(), p2.lowered_condition()), &[c1, c2]);
+        let outcome = self.tiered_solve(PreparedRule::lowered_condition, &[c1, c2]);
         self.condition_overlap = Some(outcome.clone());
         outcome
     }

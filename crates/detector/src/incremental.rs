@@ -10,6 +10,13 @@
 //! skipping most pair visits, which is what lets one process serve many
 //! homes against a large installed population.
 //!
+//! Every entry point prepares through [`Detector::prepare`], and slots
+//! hold the resulting `Arc<PreparedRule>`s. Type-unified homes sharing
+//! the fleet's verdict cache therefore share one preparation per rule:
+//! an install or upgrade rolled out to thousands of homes prepares each
+//! rule once, not once per home, and every home's slot points at the
+//! same preparation. Homes with device bindings prepare privately.
+//!
 //! Since the fleet redesign the engine also supports **retraction**
 //! ([`remove_rules`](DetectionEngine::remove_rules) /
 //! [`remove_app`](DetectionEngine::remove_app)): removed rules are
@@ -23,6 +30,7 @@ use crate::index::{CandidateIndex, PreparedRule};
 use crate::report::{DetectStats, Threat};
 use hg_rules::rule::{Rule, RuleId};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Per-home incremental CAI detection state.
 #[derive(Debug, Clone, Default)]
@@ -30,7 +38,7 @@ pub struct DetectionEngine {
     detector: Detector,
     /// Slot-addressed installed rules; `None` marks a retracted slot whose
     /// postings have been removed from the index.
-    installed: Vec<Option<PreparedRule>>,
+    installed: Vec<Option<Arc<PreparedRule>>>,
     index: CandidateIndex,
     /// Number of live (non-tombstone) slots.
     live: usize,
@@ -59,17 +67,17 @@ impl DetectionEngine {
     /// unified forms and the index postings).
     pub fn reconfigure(&mut self, detector: Detector) {
         self.detector = detector;
-        let rules: Vec<Rule> = self.installed.drain(..).flatten().map(|p| p.orig).collect();
+        let old: Vec<Arc<PreparedRule>> = self.installed.drain(..).flatten().collect();
         self.index.clear();
         self.live = 0;
-        for rule in &rules {
-            self.install_rule(rule);
+        for prepared in &old {
+            self.install_rule(&prepared.orig);
         }
     }
 
     /// Prepares and posts one rule as installed.
     pub fn install_rule(&mut self, rule: &Rule) {
-        let prepared = PreparedRule::prepare(rule, &self.detector.unification);
+        let prepared = self.detector.prepare(rule);
         self.index.insert(self.installed.len(), &prepared);
         self.installed.push(Some(prepared));
         self.live += 1;
@@ -126,7 +134,7 @@ impl DetectionEngine {
         if dead <= 32 || dead <= self.live {
             return;
         }
-        let survivors: Vec<PreparedRule> = self.installed.drain(..).flatten().collect();
+        let survivors: Vec<Arc<PreparedRule>> = self.installed.drain(..).flatten().collect();
         self.index.clear();
         for (slot, prepared) in survivors.iter().enumerate() {
             self.index.insert(slot, prepared);
@@ -147,7 +155,19 @@ impl DetectionEngine {
     /// The installed rules in install order (original, pre-unification
     /// forms).
     pub fn installed_rules(&self) -> impl Iterator<Item = &Rule> {
-        self.installed.iter().flatten().map(|p| &p.orig)
+        self.installed_prepared().map(|p| &p.orig)
+    }
+
+    /// The installed rules' preparations in install order — shared with
+    /// every other home that prepared the same rule through the same
+    /// verdict cache (see the [module docs](self)).
+    pub fn installed_prepared(&self) -> impl Iterator<Item = &Arc<PreparedRule>> {
+        self.installed.iter().flatten()
+    }
+
+    /// Prepares a batch of rules through the detector.
+    fn prepare_all(&self, rules: &[Rule]) -> Vec<Arc<PreparedRule>> {
+        rules.iter().map(|r| self.detector.prepare(r)).collect()
     }
 
     /// Indexed incremental detection: checks `new_rules` against the
@@ -155,11 +175,7 @@ impl DetectionEngine {
     /// internal to `new_rules` are also checked (a multi-rule app can
     /// interfere with itself).
     pub fn check(&self, new_rules: &[Rule]) -> (Vec<Threat>, DetectStats) {
-        let prepared: Vec<PreparedRule> = new_rules
-            .iter()
-            .map(|r| PreparedRule::prepare(r, &self.detector.unification))
-            .collect();
-        self.check_prepared(&prepared)
+        self.check_prepared(&self.prepare_all(new_rules))
     }
 
     /// [`check`](DetectionEngine::check) against the installed population
@@ -171,17 +187,13 @@ impl DetectionEngine {
         new_rules: &[Rule],
         exclude_app: &str,
     ) -> (Vec<Threat>, DetectStats) {
-        let prepared: Vec<PreparedRule> = new_rules
-            .iter()
-            .map(|r| PreparedRule::prepare(r, &self.detector.unification))
-            .collect();
-        self.check_prepared_staged(&prepared, &[], Some(exclude_app))
+        self.check_prepared_staged(&self.prepare_all(new_rules), &[], Some(exclude_app))
     }
 
     /// [`check`](DetectionEngine::check) over rules the caller already
     /// prepared (one preparation serves repeated checks — the reusable
     /// session the batch entry point builds on).
-    pub fn check_prepared(&self, new_rules: &[PreparedRule]) -> (Vec<Threat>, DetectStats) {
+    pub fn check_prepared(&self, new_rules: &[Arc<PreparedRule>]) -> (Vec<Threat>, DetectStats) {
         self.check_prepared_staged(new_rules, &[], None)
     }
 
@@ -194,8 +206,8 @@ impl DetectionEngine {
     /// [`check_many`]: DetectionEngine::check_many
     fn check_prepared_staged(
         &self,
-        new_rules: &[PreparedRule],
-        staged: &[PreparedRule],
+        new_rules: &[Arc<PreparedRule>],
+        staged: &[Arc<PreparedRule>],
         exclude_app: Option<&str>,
     ) -> (Vec<Threat>, DetectStats) {
         // The population an exhaustive filterless detector would visit:
@@ -256,10 +268,7 @@ impl DetectionEngine {
     /// population (and within the batch): the ground truth the candidate
     /// index is differentially tested against.
     pub fn check_exhaustive(&self, new_rules: &[Rule]) -> (Vec<Threat>, DetectStats) {
-        let prepared: Vec<PreparedRule> = new_rules
-            .iter()
-            .map(|r| PreparedRule::prepare(r, &self.detector.unification))
-            .collect();
+        let prepared = self.prepare_all(new_rules);
         let mut threats = Vec::new();
         let mut stats = DetectStats::default();
         for (i, new_rule) in prepared.iter().enumerate() {
@@ -285,13 +294,10 @@ impl DetectionEngine {
     /// — the verdicts a user would see installing the batch in order. One
     /// preparation per rule serves every pair visit.
     pub fn check_many(&self, batch: &[&[Rule]]) -> Vec<(Vec<Threat>, DetectStats)> {
-        let mut staged: Vec<PreparedRule> = Vec::new();
+        let mut staged: Vec<Arc<PreparedRule>> = Vec::new();
         let mut out = Vec::with_capacity(batch.len());
         for rules in batch {
-            let prepared: Vec<PreparedRule> = rules
-                .iter()
-                .map(|r| PreparedRule::prepare(r, &self.detector.unification))
-                .collect();
+            let prepared = self.prepare_all(rules);
             out.push(self.check_prepared_staged(&prepared, &staged, None));
             staged.extend(prepared);
         }
@@ -514,6 +520,98 @@ def h(evt) {{ valve.close() }}
         // The survivors still race with a probe.
         let (threats, _) = engine.check(&off_app("Probe"));
         assert!(threats.iter().any(|t| t.kind == ThreatKind::ActuatorRace));
+    }
+
+    /// Races `OnApp`-style on the lamp (a situation overlap) and fights
+    /// over temperature through a second actuator (a condition overlap),
+    /// so one pair check asks for both lowered programs of both rules.
+    fn lamp_and_climate_app(name: &str, lamp: &str, climate: &str) -> Vec<Rule> {
+        rules_of(
+            &format!(
+                r#"
+definition(name: "{name}")
+input "m", "capability.motionSensor"
+input "lamp", "capability.switch", title: "lamp"
+input "c", "capability.switch", title: "{climate}"
+def installed() {{ subscribe(m, "motion.active", h) }}
+def h(evt) {{
+    lamp.{lamp}()
+    c.on()
+}}
+"#
+            ),
+            name,
+        )
+    }
+
+    #[test]
+    fn cache_hits_never_lower_and_a_miss_lowers_each_program_once() {
+        use crate::index::LOWERINGS;
+        use crate::verdict_cache::VerdictCache;
+        use crate::ThreatKind;
+        use std::sync::Arc;
+
+        let lowerings = || LOWERINGS.with(|n| n.get());
+        let lowered = |p: &PreparedRule| {
+            [
+                p.lowered_situation.get().is_some(),
+                p.lowered_condition.get().is_some(),
+            ]
+        };
+        let a = lamp_and_climate_app("HeatApp", "on", "space heater");
+        let b = lamp_and_climate_app("CoolApp", "off", "window opener");
+        let cache = Arc::new(VerdictCache::new());
+        let home = |modes: &[&str]| {
+            let mut detector = Detector::store_wide().with_cache(cache.clone());
+            detector.solver.set_modes(modes.iter().copied());
+            detector
+        };
+
+        // Warm the verdict through private preparations, which the
+        // fleet's shared ones below never see.
+        let warm = home(&[]);
+        let (pa, pb) = (
+            PreparedRule::prepare(&a[0], &warm.unification),
+            PreparedRule::prepare(&b[0], &warm.unification),
+        );
+        let (warm_threats, _) = warm.detect_pair_prepared(&pb, &pa);
+        let kinds: Vec<ThreatKind> = warm_threats.iter().map(|t| t.kind).collect();
+        assert!(kinds.contains(&ThreatKind::ActuatorRace), "{kinds:?}");
+        assert!(kinds.contains(&ThreatKind::GoalConflict), "{kinds:?}");
+
+        // A check answered entirely from the cache compiles nothing.
+        let mut engine = DetectionEngine::new(home(&[]));
+        engine.install_rules(&a);
+        let shared_a = engine.installed[0].clone().unwrap();
+        let shared_b = engine.detector().prepare(&b[0]);
+        let before = lowerings();
+        let (threats, stats) = engine.check(&b);
+        assert_eq!(threats, warm_threats);
+        assert_eq!(
+            (stats.pairs, stats.cache_hits, stats.cache_misses),
+            (1, 1, 0)
+        );
+        assert_eq!(lowerings(), before, "the hit path must not lower");
+        assert_eq!(lowered(&shared_a), [false, false]);
+        assert_eq!(lowered(&shared_b), [false, false]);
+
+        // A home with other modes misses on the same shared rules: the
+        // miss compiles all four programs, once each.
+        let mut night = DetectionEngine::new(home(&["Day", "Night"]));
+        night.install_rules(&a);
+        assert!(Arc::ptr_eq(night.installed[0].as_ref().unwrap(), &shared_a));
+        let (_, stats) = night.check(&b);
+        assert_eq!(stats.cache_misses, 1);
+        assert_eq!(lowered(&shared_a), [true, true]);
+        assert_eq!(lowered(&shared_b), [true, true]);
+        assert_eq!(lowerings(), before + 4);
+
+        // Later misses reuse the compiled programs.
+        let mut away = DetectionEngine::new(home(&["Away"]));
+        away.install_rules(&a);
+        let (_, stats) = away.check(&b);
+        assert_eq!(stats.cache_misses, 1);
+        assert_eq!(lowerings(), before + 4, "each program compiles once");
     }
 
     #[test]

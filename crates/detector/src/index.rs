@@ -1,13 +1,14 @@
 //! Candidate indexing for incremental detection.
 //!
 //! The paper's action analysis (the M_AR/M_GC maps, §VI-A1) runs as a cheap
-//! per-pair filter inside [`Detector::detect_pair`]: most rule pairs share
-//! no actuator, no goal property and no trigger/condition variable, so they
-//! are rejected before any constraint solving. For a store serving many
-//! homes that per-pair scan is still O(installed) work per new rule. This
-//! module lifts the same filter into a persistent *candidate index*: every
-//! installed rule is posted under its interaction keys, and a new rule only
-//! visits the rules it collides with.
+//! per-pair filter inside [`Detector::detect_pair`](crate::Detector::detect_pair):
+//! most rule pairs share no actuator, no goal property and no
+//! trigger/condition variable, so they are rejected before any constraint
+//! solving. For a store serving many homes that per-pair scan is still
+//! O(installed) work per new rule. This module lifts the same filter into
+//! a persistent *candidate index*: every installed rule is posted under
+//! its interaction keys, and a new rule only visits the rules it collides
+//! with.
 //!
 //! The index is a strict over-approximation of the per-pair filters — a
 //! pair the index prunes can never produce a threat (the differential test
@@ -15,7 +16,7 @@
 //! so indexed incremental detection reports the identical threat set while
 //! skipping most pair visits.
 
-use crate::engine::{action_kind, direct_effects, Detector};
+use crate::engine::{action_kind, direct_effects};
 use crate::lowering::LoweredProgram;
 use crate::overlap::Unification;
 use hg_capability::domains::EnvProperty;
@@ -24,13 +25,20 @@ use hg_rules::rule::{ActionSubject, Rule};
 use hg_rules::varid::{DeviceRef, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
+use std::sync::OnceLock;
 
-/// A rule prepared for repeated detection: unified once against the home's
+/// A rule prepared for repeated detection: unified once against a
 /// device-resolution policy, with its interaction facets precomputed.
 ///
-/// Preparing once per installed rule (instead of re-unifying on every pair
-/// visit, as the naive pipeline does) is what makes solver sessions
-/// reusable across candidates.
+/// Preparing once (instead of re-unifying on every pair visit, as the
+/// naive pipeline does) is what makes solver sessions reusable across
+/// candidates. Engines hold preparations as `Arc`s obtained through
+/// [`Detector::prepare`](crate::Detector::prepare): a type-unified form
+/// is the same in every home, so one preparation per rule serves the
+/// whole fleet through the [`VerdictCache`](crate::VerdictCache) memo;
+/// homes with device bindings prepare privately. The lowered pair-check
+/// programs are compiled lazily, on the first verdict-cache miss that
+/// asks for them.
 #[derive(Debug, Clone)]
 pub struct PreparedRule {
     /// The rule as extracted (pre-unification); Goal Conflict analysis and
@@ -57,10 +65,12 @@ pub struct PreparedRule {
     /// `situation` compiled to a lowered pair-check program, when its
     /// shape is classifiable (see [`crate::lowering`]); `None` means every
     /// overlap question over this rule's situation uses the full solver.
-    lowered_situation: Option<LoweredProgram>,
+    /// Compiled on first use: a rule whose pairs all hit the verdict
+    /// cache never pays for it.
+    pub(crate) lowered_situation: OnceLock<Option<LoweredProgram>>,
     /// The unified condition predicate compiled likewise, for the
-    /// Enabling/Disabling-Condition overlap solves.
-    lowered_condition: Option<LoweredProgram>,
+    /// Goal-Conflict and trigger-channel overlap solves.
+    pub(crate) lowered_condition: OnceLock<Option<LoweredProgram>>,
 }
 
 impl PreparedRule {
@@ -74,18 +84,15 @@ impl PreparedRule {
         });
         let mut user_inputs = BTreeSet::new();
         collect_user_inputs(&unified, &mut user_inputs);
-        let situation = unified.situation();
-        let lowered_situation = LoweredProgram::compile(&situation);
-        let lowered_condition = LoweredProgram::compile(&unified.condition.predicate);
         PreparedRule {
             orig: rule.clone(),
+            situation: unified.situation(),
             unified,
             facets,
             fingerprint,
             user_inputs,
-            situation,
-            lowered_situation,
-            lowered_condition,
+            lowered_situation: OnceLock::new(),
+            lowered_condition: OnceLock::new(),
         }
     }
 
@@ -100,14 +107,16 @@ impl PreparedRule {
         self.fingerprint
     }
 
-    /// The situation conjunction's lowered program, when classifiable.
+    /// The situation conjunction's lowered program, when classifiable
+    /// (compiled on the first call).
     pub fn lowered_situation(&self) -> Option<&LoweredProgram> {
-        self.lowered_situation.as_ref()
+        lower_once(&self.lowered_situation, &self.situation)
     }
 
-    /// The condition predicate's lowered program, when classifiable.
+    /// The condition predicate's lowered program, when classifiable
+    /// (compiled on the first call).
     pub fn lowered_condition(&self) -> Option<&LoweredProgram> {
-        self.lowered_condition.as_ref()
+        lower_once(&self.lowered_condition, &self.unified.condition.predicate)
     }
 
     /// The user-input variables the rule's solver-visible formulas
@@ -141,6 +150,26 @@ impl PreparedRule {
     pub fn trigger_var(&self) -> Option<VarId> {
         self.unified.trigger.observed_var()
     }
+}
+
+/// The lowered program cached in `cell`, compiling `formula` on first use.
+fn lower_once<'a>(
+    cell: &'a OnceLock<Option<LoweredProgram>>,
+    formula: &Formula,
+) -> Option<&'a LoweredProgram> {
+    cell.get_or_init(|| {
+        #[cfg(test)]
+        LOWERINGS.with(|n| n.set(n.get() + 1));
+        LoweredProgram::compile(formula)
+    })
+    .as_ref()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Lowered programs compiled on this thread (tests assert the lazy
+    /// compile runs once per program, and never on the cache-hit path).
+    pub(crate) static LOWERINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The interaction keys of one rule, split by the role they play in a pair.
@@ -351,11 +380,6 @@ fn unpost<K: Ord + Clone>(map: &mut BTreeMap<K, Vec<usize>>, key: &K, id: usize)
             map.remove(key);
         }
     }
-}
-
-/// Convenience: prepares a rule with the detector's unification.
-pub(crate) fn prepare_with(detector: &Detector, rule: &Rule) -> PreparedRule {
-    PreparedRule::prepare(rule, &detector.unification)
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! formulas are trivially shaped — interval bounds on a numeric
 //! attribute, equality tests on a shared actuator attribute, mode-set
 //! membership, boolean literals. This module classifies each prepared
-//! rule's constraint conjunction **once, at prepare time**, into a flat
-//! [`LoweredProgram`]; at detection time `check_pair` decides overlap
+//! rule's constraint conjunction **once**, on the first verdict-cache
+//! miss that asks for it, into a flat [`LoweredProgram`] (the cache-hit
+//! path never compiles one); at detection time `check_pair` decides overlap
 //! of two programs directly — same constant folding, same symbol
 //! interning, same propagation, same entailment, same witness the solver
 //! would produce — without building a solver model.
@@ -88,9 +89,10 @@ enum DomSpec {
 /// A prepared rule's constraint conjunction compiled to a flat program
 /// of variable-vs-constant comparisons over an indexed register file.
 ///
-/// Built once at prepare time by `LoweredProgram::compile` (shared via
-/// the store-level prepared-rule cache) and consumed pairwise by the
-/// engine's lowered tier. A program existing does not guarantee a
+/// Built once per prepared rule by `LoweredProgram::compile`, lazily on
+/// the first cache miss that needs it (shared with every home holding the
+/// same fleet-shared preparation), and consumed pairwise by the engine's
+/// lowered tier. A program existing does not guarantee a
 /// lowered verdict: the pairwise check can still refuse at runtime and
 /// fall back to the solver.
 #[derive(Debug, Clone, PartialEq, Eq)]

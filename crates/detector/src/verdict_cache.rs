@@ -38,13 +38,27 @@
 //!
 //! The cache is runtime state, never persisted: snapshots rebuild it empty
 //! (`hg-persist` asserts exactly that).
+//!
+//! # Shared preparations
+//!
+//! The cache also memoizes rule *preparation* for type-unified homes
+//! ([`prepared`](VerdictCache::prepared)): a type-unified rule prepares
+//! identically in every home, so the fleet needs one [`PreparedRule`] per
+//! rule, not one per home. The memo is keyed by the rule's 128-bit
+//! content fingerprint, returns an entry only after comparing the whole
+//! rule (a key collision degrades to a fresh preparation, never to another
+//! rule's), and holds `Weak` references: homes own their rules, and an
+//! entry whose rule every home dropped is swept on a later insert.
 
+use crate::index::PreparedRule;
+use crate::overlap::Unification;
 use crate::report::{DecisionTier, DetectStats, Threat};
+use hg_rules::rule::Rule;
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, Weak};
 
 /// The identity of one memoized pair verdict: both rules' 128-bit content
 /// fingerprints (ordered — directed threat kinds make the pair
@@ -156,6 +170,37 @@ impl Shard {
     }
 }
 
+/// One shard of the preparation memo: content fingerprint → the live
+/// shared preparation, if any home still holds it.
+#[derive(Debug, Default)]
+struct PreparedShard {
+    rules: HashMap<u128, Weak<PreparedRule>>,
+    /// Map size at which the next insert first sweeps dead entries —
+    /// twice the live count after the previous sweep, so the O(n) sweep
+    /// amortizes to O(1) per insert.
+    sweep_at: usize,
+}
+
+impl PreparedShard {
+    /// The live preparation filed under `key`, if it is `rule`'s.
+    fn get(&self, key: u128, rule: &Rule) -> Option<Arc<PreparedRule>> {
+        self.rules
+            .get(&key)
+            .and_then(Weak::upgrade)
+            .filter(|prepared| prepared.orig == *rule)
+    }
+
+    /// Files `prepared` under `key`, first sweeping dead entries once the
+    /// map has reached `sweep_at`.
+    fn insert(&mut self, key: u128, prepared: &Arc<PreparedRule>) {
+        if self.rules.len() >= self.sweep_at {
+            self.rules.retain(|_, rule| rule.strong_count() > 0);
+            self.sweep_at = (2 * self.rules.len()).max(64);
+        }
+        self.rules.insert(key, Arc::downgrade(prepared));
+    }
+}
+
 /// Aggregate cache effectiveness counters (see [`VerdictCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -185,6 +230,9 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct VerdictCache {
     shards: Box<[RwLock<Shard>]>,
+    /// The shared-preparation memo (see the [module docs](self)), sharded
+    /// like the verdict map.
+    prepared: Box<[RwLock<PreparedShard>]>,
     /// Per-shard entry cap; overflow evicts the LRU quarter of the shard.
     capacity: usize,
     /// The LRU clock: every hit and insert draws a strictly increasing
@@ -221,6 +269,9 @@ impl VerdictCache {
             shards: (0..n.max(1))
                 .map(|_| RwLock::new(Shard::default()))
                 .collect(),
+            prepared: (0..n.max(1))
+                .map(|_| RwLock::new(PreparedShard::default()))
+                .collect(),
             capacity: capacity.max(1),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -230,11 +281,11 @@ impl VerdictCache {
     }
 
     // Poison recovery (the `unwrap_or_else(PoisonError::into_inner)` in
-    // lookup/insert/evict_app/clear/len): every write is a whole-entry
-    // insert or removal of self-contained data, so a panicking writer
-    // cannot leave an entry readers can't tolerate — recover the map
-    // rather than propagating the poison into every session sharing the
-    // cache.
+    // lookup/insert/evict_app/clear/len and the preparation memo): every
+    // write is a whole-entry insert or removal of self-contained data, so
+    // a panicking writer cannot leave an entry readers can't tolerate —
+    // recover the map rather than propagating the poison into every
+    // session sharing the cache.
 
     fn shard(&self, key: &PairKey) -> &RwLock<Shard> {
         let route = (key.fp1 ^ key.fp2.rotate_left(1) ^ key.ctx.rotate_left(2)) as u64;
@@ -345,7 +396,66 @@ impl VerdictCache {
         dropped
     }
 
-    /// Drops everything (reconfiguration storms, tests).
+    /// The fleet-shared preparation of a rule under type-based
+    /// unification: the live one some home already holds, or a fresh
+    /// [`PreparedRule::prepare`] published for every later caller. The
+    /// memo keeps nothing alive — callers own the returned `Arc`.
+    pub fn prepared(&self, rule: &Rule) -> Arc<PreparedRule> {
+        let (key, shard) = self.memo_shard(rule);
+        let live = shard
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key, rule);
+        if let Some(prepared) = live {
+            return prepared;
+        }
+        let fresh = Arc::new(PreparedRule::prepare(rule, &Unification::ByType));
+        let mut shard = shard.write().unwrap_or_else(PoisonError::into_inner);
+        // A racing caller may have published the same rule meanwhile.
+        if let Some(prepared) = shard.get(key, rule) {
+            return prepared;
+        }
+        shard.insert(key, &fresh);
+        fresh
+    }
+
+    /// Number of memoized preparations some home still holds.
+    pub fn prepared_len(&self) -> usize {
+        self.prepared
+            .iter()
+            .map(|s| {
+                s.read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .rules
+                    .values()
+                    .filter(|rule| rule.strong_count() > 0)
+                    .count()
+            })
+            .sum()
+    }
+
+    /// Files `prepared` under `rule`'s memo key — a forged fingerprint
+    /// collision, for tests of the full-rule comparison on every hit.
+    #[doc(hidden)]
+    pub fn insert_prepared_under(&self, rule: &Rule, prepared: &Arc<PreparedRule>) {
+        let (key, shard) = self.memo_shard(rule);
+        shard
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, prepared);
+    }
+
+    /// `rule`'s memo key and the memo shard it lives in.
+    fn memo_shard(&self, rule: &Rule) -> (u128, &RwLock<PreparedShard>) {
+        let key = fingerprint128(|h| rule.hash(h));
+        (
+            key,
+            &self.prepared[(key % self.prepared.len() as u128) as usize],
+        )
+    }
+
+    /// Drops every verdict (reconfiguration storms, tests). The
+    /// preparation memo holds nothing alive and is left as is.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             let mut shard = shard.write().unwrap_or_else(PoisonError::into_inner);

@@ -300,6 +300,59 @@ fn engines_sharing_a_cache_share_verdicts() {
 }
 
 #[test]
+fn type_unified_engines_on_one_cache_share_prepared_rules() {
+    use std::collections::BTreeMap;
+
+    let cache = Arc::new(VerdictCache::new());
+    let rules = on_app("OnApp");
+    let mut home1 = DetectionEngine::new(cached_detector(&cache));
+    let mut home2 = DetectionEngine::new(cached_detector(&cache));
+    home1.install_rules(&rules);
+    home2.install_rules(&rules);
+    let shared: Vec<Arc<PreparedRule>> = home1.installed_prepared().cloned().collect();
+    assert_eq!(shared.len(), rules.len());
+    for (a, b) in shared.iter().zip(home2.installed_prepared()) {
+        assert!(Arc::ptr_eq(a, b), "one preparation per rule, not per home");
+    }
+    assert_eq!(cache.prepared_len(), rules.len());
+
+    // A home with device bindings prepares privately: its unified forms
+    // are home-unique, and it adds nothing to the memo.
+    let mut map = BTreeMap::new();
+    map.insert(("OnApp".to_string(), "lamp".to_string()), "l1".to_string());
+    let mut bound = DetectionEngine::new(
+        Detector {
+            unification: Unification::Bindings(map),
+            ..Detector::default()
+        }
+        .with_cache(cache.clone()),
+    );
+    bound.install_rules(&rules);
+    for (a, b) in shared.iter().zip(bound.installed_prepared()) {
+        assert!(!Arc::ptr_eq(a, b));
+        assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+    assert_eq!(cache.prepared_len(), rules.len());
+
+    // The memo keeps nothing alive once the homes drop their rules.
+    drop((shared, home1, home2, bound));
+    assert_eq!(cache.prepared_len(), 0);
+
+    // A forged entry filed under the probe's key is someone else's rule:
+    // it must never be returned for the probe.
+    let probe = off_app("Probe");
+    let impostor = Arc::new(PreparedRule::prepare(&rules[0], &Unification::ByType));
+    cache.insert_prepared_under(&probe[0], &impostor);
+    let got = cached_detector(&cache).prepare(&probe[0]);
+    assert!(!Arc::ptr_eq(&got, &impostor));
+    assert_eq!(got.orig, probe[0]);
+    assert_eq!(
+        got.fingerprint(),
+        PreparedRule::prepare(&probe[0], &Unification::ByType).fingerprint()
+    );
+}
+
+#[test]
 fn stats_absorb_carries_cache_counters() {
     let mut total = DetectStats::default();
     total.absorb(DetectStats {

@@ -22,7 +22,7 @@
 
 use crate::point::MediationIndex;
 use crate::policy::{HandlingPolicy, PolicyTable};
-use hg_detector::{Threat, ThreatKind, Unification};
+use hg_detector::{Detector, Threat, ThreatKind};
 use hg_rules::rule::{Rule, RuleId};
 use hg_sim::mediator::{Decision, Mediator};
 use hg_sim::SimTime;
@@ -207,14 +207,15 @@ impl Enforcer {
     }
 
     /// Compiles `threats` (an install-time report, or a session's confirmed
-    /// threat set) against the installed `rules` and builds the enforcer.
+    /// threat set) against the installed `rules`, prepared through
+    /// `detector`, and builds the enforcer.
     pub fn from_threats(
         threats: &[Threat],
         rules: &[Rule],
-        unification: &Unification,
+        detector: &Detector,
         table: &PolicyTable,
     ) -> Enforcer {
-        Enforcer::new(MediationIndex::compile(threats, rules, unification, table))
+        Enforcer::new(MediationIndex::compile(threats, rules, detector, table))
     }
 
     /// The compiled mediation points.

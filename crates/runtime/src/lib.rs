@@ -59,7 +59,7 @@
 //! ## Example
 //!
 //! ```
-//! use hg_detector::{Detector, Unification};
+//! use hg_detector::Detector;
 //! use hg_runtime::{Enforcer, PolicyTable};
 //! use hg_sim::Decision;
 //! use hg_symexec::{extract, ExtractorConfig};
@@ -85,7 +85,7 @@
 //! // second firing of the pair is suppressed.
 //! let rules = [on[0].clone(), off[0].clone()];
 //! let mut enforcer = Enforcer::from_threats(
-//!     &threats, &rules, &Unification::ByType, &PolicyTable::block_all());
+//!     &threats, &rules, &Detector::store_wide(), &PolicyTable::block_all());
 //! assert_eq!(enforcer.decide_fire(&on[0].id, 0), Decision::Allow);
 //! assert_eq!(enforcer.decide_fire(&off[0].id, 0), Decision::Suppress);
 //! assert_eq!(enforcer.journal().len(), 1);

@@ -12,10 +12,11 @@
 
 use crate::policy::{HandlingPolicy, PolicyTable};
 use hg_capability::domains::EnvProperty;
-use hg_detector::{PreparedRule, Threat, ThreatKind, Unification};
+use hg_detector::{Detector, PreparedRule, Threat, ThreatKind};
 use hg_rules::rule::{Rule, RuleId};
 use hg_rules::varid::VarId;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One compiled mediation point: a detected threat, keyed for runtime
 /// lookup, with its handling policy resolved.
@@ -66,20 +67,22 @@ impl MediationIndex {
     /// Compiles an install-time threat report into mediation points.
     ///
     /// `rules` is the installed population the threats were detected over;
-    /// supplying it (with the session's `unification`) lets the compiler
+    /// supplying it (with the session's `detector`) lets the compiler
     /// resolve the shared actuator identities and trigger variables each
     /// pair collides on — the facets the detector's candidate index posts.
-    /// Threats whose rules are absent from `rules` still compile, keyed by
-    /// rule identity alone.
-    pub fn compile(
+    /// Rules are prepared through [`Detector::prepare`], so a session
+    /// sharing the fleet's preparations reuses them here. Threats whose
+    /// rules are absent from `rules` still compile, keyed by rule identity
+    /// alone.
+    pub fn compile<'a>(
         threats: &[Threat],
-        rules: &[Rule],
-        unification: &Unification,
+        rules: impl IntoIterator<Item = &'a Rule>,
+        detector: &Detector,
         table: &PolicyTable,
     ) -> MediationIndex {
-        let prepared: BTreeMap<&RuleId, PreparedRule> = rules
-            .iter()
-            .map(|r| (&r.id, PreparedRule::prepare(r, unification)))
+        let prepared: BTreeMap<&RuleId, Arc<PreparedRule>> = rules
+            .into_iter()
+            .map(|r| (&r.id, detector.prepare(r)))
             .collect();
         let mut index = MediationIndex::default();
         for threat in threats {
@@ -256,7 +259,7 @@ mod tests {
         let index = MediationIndex::compile(
             &threats,
             &[a.clone(), b.clone()],
-            &Unification::ByType,
+            &Detector::store_wide(),
             &PolicyTable::block_all(),
         );
         assert_eq!(index.len(), 1);
@@ -283,7 +286,7 @@ mod tests {
         let index = MediationIndex::compile(
             &threats,
             &[],
-            &Unification::ByType,
+            &Detector::store_wide(),
             &PolicyTable::block_all(),
         );
         assert_eq!(index.len(), 1);
@@ -300,7 +303,7 @@ mod tests {
         let mut index = MediationIndex::compile(
             &threats,
             &[a.clone(), b.clone(), c.clone()],
-            &Unification::ByType,
+            &Detector::store_wide(),
             &PolicyTable::block_all(),
         );
         assert_eq!(index.len(), 2);
@@ -327,7 +330,7 @@ mod tests {
         let index = MediationIndex::compile(
             &threats,
             &[],
-            &Unification::ByType,
+            &Detector::store_wide(),
             &PolicyTable::block_all(),
         );
         let p = &index.points()[0];

@@ -3,7 +3,7 @@
 //! blocked / reordered / deferred / journaled — end to end through
 //! extraction, detection, mediation-point compilation and the enforcer.
 
-use hg_detector::{Detector, Threat, ThreatKind, Unification};
+use hg_detector::{Detector, Threat, ThreatKind};
 use hg_rules::rule::Rule;
 use hg_runtime::{Enforcer, HandlingPolicy, PolicyTable, Verdict};
 use hg_sim::Decision;
@@ -35,7 +35,7 @@ fn threat_of(threats: &[Threat], kind: ThreatKind) -> &Threat {
 }
 
 fn enforcer(rules: &[Rule], threats: &[Threat], table: PolicyTable) -> Enforcer {
-    Enforcer::from_threats(threats, rules, &Unification::ByType, &table)
+    Enforcer::from_threats(threats, rules, &Detector::store_wide(), &table)
 }
 
 #[test]

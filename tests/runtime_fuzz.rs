@@ -212,12 +212,15 @@ fn drive(home: &mut Home, schedule: &[Event]) {
 }
 
 /// Detected threats of a scenario, under its binding unification.
-fn detect(scenario: &Scenario, unification: &Unification) -> Vec<Threat> {
-    let detector = Detector {
+fn detector(unification: &Unification) -> Detector {
+    Detector {
         unification: unification.clone(),
         ..Detector::default()
-    };
-    detector.detect_all(&scenario.rules).0
+    }
+}
+
+fn detect(scenario: &Scenario, unification: &Unification) -> Vec<Threat> {
+    detector(unification).detect_all(&scenario.rules).0
 }
 
 #[test]
@@ -237,7 +240,7 @@ fn mediation_is_differentially_sound_over_seeded_scenarios() {
         let enforcer = SharedEnforcer::new(Enforcer::from_threats(
             &threats,
             &scenario.rules,
-            &unification,
+            &detector(&unification),
             &PolicyTable::block_all(),
         ));
         let mut mediated = build_home(seed, &scenario, &unification);
@@ -311,7 +314,7 @@ fn notify_all_mediation_never_changes_any_trace() {
         let enforcer = SharedEnforcer::new(Enforcer::from_threats(
             &threats,
             &scenario.rules,
-            &unification,
+            &detector(&unification),
             &PolicyTable::notify_all(),
         ));
         let mut mediated = build_home(seed, &scenario, &unification);
