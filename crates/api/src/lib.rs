@@ -24,10 +24,12 @@
 //! * **Backpressure** — full queues surface as `429` with `Retry-After`
 //!   before any work is admitted (and publish `queue_saturated` events
 //!   when telemetry is on).
-//! * **Observability** — a [`TelemetryHub`] (on by default) attaches the
-//!   fleet event bus and serves `GET /metrics` (JSON or Prometheus text),
+//! * **Observability** — a [`TelemetryBus`] (on by default) is attached
+//!   to the fleet and serves `GET /metrics` (JSON or Prometheus text),
 //!   `GET /analytics/{interference,hot-pairs,latency}` and a live
-//!   `GET /events/stream` NDJSON tail. Aggregates are process-lifetime:
+//!   `GET /events/stream` NDJSON tail. The bus folds every event into its
+//!   [`MetricsRegistry`] as it is published, so scraped totals are exact
+//!   without waiting on anything. Aggregates are process-lifetime:
 //!   `POST /restore` swaps the fleet and leaves every counter as it was.
 //!
 //! See [`routes`] for the endpoint table and [`ApiServer`] to run one.
@@ -67,6 +69,6 @@ pub use wire::ApiError;
 // service crate separately.
 pub use hg_service::Fleet;
 
-// Re-exported so clients can drive the hub (sync for exact scrapes, the
-// bus for in-process tails) without naming the telemetry crate.
-pub use hg_telemetry::{MetricsRegistry, TelemetryBus, TelemetryEvent, TelemetryHub};
+// Re-exported so clients can read the registry and tail the bus in
+// process without naming the telemetry crate.
+pub use hg_telemetry::{MetricsRegistry, TelemetryBus, TelemetryEvent};

@@ -42,7 +42,7 @@ use crate::wire::{
 };
 use hg_rules::json::Json;
 use hg_service::{Checkpoint, Fleet, HgError, HomeId, Journal, JournalState};
-use hg_telemetry::{TelemetryBus, TelemetryHub};
+use hg_telemetry::TelemetryBus;
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
@@ -55,23 +55,23 @@ pub struct AppState {
     exec: RwLock<Arc<FleetExec>>,
     sessions: SessionStore,
     exec_config: ExecConfig,
-    telemetry: Option<Arc<TelemetryHub>>,
+    telemetry: Option<Arc<TelemetryBus>>,
     journal: Option<Arc<Journal>>,
 }
 
 impl AppState {
     /// State over a freshly started executor for `fleet`. With a
-    /// `telemetry` hub, the hub's bus is attached to the fleet before any
+    /// `telemetry` bus, the bus is attached to the fleet before any
     /// request is served (and re-attached to every fleet `POST /restore`
     /// swaps in), and the observability routes come alive.
     pub fn new(
         fleet: Arc<Fleet>,
         exec_config: ExecConfig,
         sessions: SessionStore,
-        telemetry: Option<Arc<TelemetryHub>>,
+        telemetry: Option<Arc<TelemetryBus>>,
     ) -> AppState {
-        if let Some(hub) = &telemetry {
-            fleet.attach_telemetry(hub.bus().clone());
+        if let Some(bus) = &telemetry {
+            fleet.attach_telemetry(bus.clone());
         }
         AppState {
             exec: RwLock::new(FleetExec::start(fleet, exec_config.clone())),
@@ -102,8 +102,9 @@ impl AppState {
         self.journal.as_ref()
     }
 
-    /// The telemetry hub, when observability is enabled.
-    pub fn telemetry(&self) -> Option<&Arc<TelemetryHub>> {
+    /// The telemetry bus (and through it the metrics registry), when
+    /// observability is enabled.
+    pub fn telemetry(&self) -> Option<&Arc<TelemetryBus>> {
         self.telemetry.as_ref()
     }
 
@@ -126,8 +127,8 @@ impl AppState {
     }
 
     fn swap_fleet(&self, fleet: Arc<Fleet>) -> Result<(), HgError> {
-        if let Some(hub) = &self.telemetry {
-            fleet.attach_telemetry(hub.bus().clone());
+        if let Some(bus) = &self.telemetry {
+            fleet.attach_telemetry(bus.clone());
         }
         if let Some(journal) = &self.journal {
             // The swapped-in fleet is a new durability timeline: wipe the
@@ -202,13 +203,9 @@ pub fn error_response(error: &ApiError) -> Response {
     }
 }
 
-/// How long observability routes wait for the collector to catch up with
-/// everything already published, so rendered totals are exact.
-const SYNC_WINDOW: Duration = Duration::from_secs(2);
-
-/// The telemetry hub, or the 404 every observability route answers when
+/// The telemetry bus, or the 404 every observability route answers when
 /// the server runs with telemetry off.
-fn need_hub(state: &AppState) -> Result<&Arc<TelemetryHub>, ApiError> {
+fn need_bus(state: &AppState) -> Result<&Arc<TelemetryBus>, ApiError> {
     state.telemetry().ok_or_else(|| {
         ApiError::new(
             404,
@@ -230,13 +227,14 @@ fn query_num(req: &Request, name: &str) -> Result<Option<u64>, ApiError> {
     }
 }
 
-/// `GET /metrics`: samples the pull-style gauges, waits for the collector
-/// to drain the bus, then renders the registry as JSON (default) or
-/// Prometheus text (`?format=prometheus`).
+/// `GET /metrics`: samples the pull-style gauges, then renders the
+/// registry as JSON (default) or Prometheus text (`?format=prometheus`).
+/// Events are counted as they are published, so the totals already
+/// include everything published before this request.
 fn metrics_route(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
-    let hub = need_hub(state)?;
+    let bus = need_bus(state)?;
     let exec = state.exec();
-    let registry = hub.registry();
+    let registry = bus.registry();
     for (index, depth) in exec.shard_depths().into_iter().enumerate() {
         registry.set_gauge(format!("shard_{index}_queue_depth"), depth as i64);
     }
@@ -245,9 +243,8 @@ fn metrics_route(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
     registry.set_gauge("store_queue_depth", exec.store_depth() as i64);
     registry.set_gauge("store_workers_busy", exec.store_busy_workers() as i64);
     registry.set_gauge("queue_capacity", exec.queue_capacity() as i64);
-    registry.set_gauge("bus_dropped_events", hub.bus().dropped_events() as i64);
+    registry.set_gauge("bus_dropped_events", bus.dropped_events() as i64);
     registry.set_gauge("fleet_homes", exec.fleet().len() as i64);
-    hub.sync(SYNC_WINDOW);
     match req.query_param("format") {
         Some("prometheus") => Ok(Response {
             status: 200,
@@ -388,16 +385,15 @@ fn dispatch(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
         }
         ("GET", "/metrics") => metrics_route(state, req),
         ("GET", "/analytics/interference") => {
-            let hub = need_hub(state)?;
-            hub.sync(SYNC_WINDOW);
+            let bus = need_bus(state)?;
             Ok(Response::json(
                 200,
-                &Json::obj([("interference", hub.registry().interference_json())]),
+                &Json::obj([("interference", bus.registry().interference_json())]),
             )
             .into())
         }
         ("GET", "/analytics/hot-pairs") => {
-            need_hub(state)?;
+            need_bus(state)?;
             let limit = query_num(req, "limit")?.unwrap_or(10).clamp(1, 100) as usize;
             let pairs = state
                 .exec()
@@ -408,13 +404,12 @@ fn dispatch(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
             Ok(Response::json(200, &Json::obj([("hot_pairs", hot_pairs_json(&pairs))])).into())
         }
         ("GET", "/analytics/latency") => {
-            let hub = need_hub(state)?;
-            hub.sync(SYNC_WINDOW);
+            let bus = need_bus(state)?;
             Ok(Response::json(
                 200,
                 &Json::obj([(
                     "histograms",
-                    hub.registry().histograms_json(&[
+                    bus.registry().histograms_json(&[
                         "mediation_latency_ns",
                         "pair_check_micros_cached",
                         "pair_check_micros_uncached",
@@ -425,12 +420,12 @@ fn dispatch(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
             .into())
         }
         ("GET", "/events/stream") => {
-            let hub = need_hub(state)?;
+            let bus = need_bus(state)?;
             let cursor = query_num(req, "cursor")?.unwrap_or(0);
             let limit = query_num(req, "limit")?.unwrap_or(256).min(10_000) as usize;
             let max_ms = query_num(req, "max_ms")?.unwrap_or(1_000).min(30_000);
             Ok(Reply::Events(EventStream {
-                bus: hub.bus().clone(),
+                bus: bus.clone(),
                 cursor,
                 limit,
                 window: Duration::from_millis(max_ms),

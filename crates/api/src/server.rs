@@ -17,7 +17,7 @@ use crate::session::SessionStore;
 use crate::wire::{rollout_json, shard_part_json, ApiError};
 use hg_rules::json::Json;
 use hg_service::{Fleet, Journal};
-use hg_telemetry::TelemetryHub;
+use hg_telemetry::TelemetryBus;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,9 +44,10 @@ pub struct ServerConfig {
     /// Per-connection socket read/write timeout — a stalled peer cannot
     /// pin a worker forever.
     pub io_timeout: Duration,
-    /// Whether to run the telemetry hub (event bus + metrics collector)
-    /// and serve the observability routes. Off, those routes answer 404
-    /// and the fleet publishes nothing.
+    /// Whether to attach a telemetry bus (event history + the metrics
+    /// registry it folds every event into) and serve the observability
+    /// routes. Off, those routes answer 404 and the fleet publishes
+    /// nothing.
     pub telemetry: bool,
 }
 
@@ -138,7 +139,7 @@ impl ApiServer {
     ) -> std::io::Result<ApiServer> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let telemetry = config.telemetry.then(TelemetryHub::start);
+        let telemetry = config.telemetry.then(|| Arc::new(TelemetryBus::new()));
         let mut state = AppState::new(
             fleet,
             config.exec.clone(),
@@ -273,9 +274,6 @@ impl ApiServer {
             let _ = thread.join();
         }
         self.state.stop();
-        if let Some(hub) = self.state.telemetry() {
-            hub.stop();
-        }
     }
 }
 

@@ -582,7 +582,8 @@ fn metrics_and_analytics_reconcile_exactly_with_observed_traffic() {
         Some(&app_body(ON_APP, "OnApp")),
     );
 
-    // /metrics waits for the collector, so totals are exact, not racy.
+    // Events are counted as they are published, so /metrics totals are
+    // exact, not racy.
     let metrics = send(addr, "GET", "/metrics", None, None);
     assert_eq!(metrics.status, 200);
     let body = metrics.json();
@@ -730,7 +731,6 @@ fn event_stream_tails_live_events_and_a_slow_reader_cannot_wedge_a_worker() {
         .state()
         .telemetry()
         .expect("telemetry on by default")
-        .bus()
         .clone();
 
     // Some history before the stream opens…
@@ -751,7 +751,7 @@ fn event_stream_tails_live_events_and_a_slow_reader_cannot_wedge_a_worker() {
         )
         .unwrap();
     std::thread::sleep(Duration::from_millis(300));
-    // More events than default retention holds (8 rings × 4096), so the
+    // More events than default retention holds (32 768), so the
     // flood must shed history while the reader sits on an unread socket.
     for home in 0..40_000u64 {
         bus.publish(TelemetryEvent::HomeCreated { home });

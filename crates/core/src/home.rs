@@ -415,8 +415,7 @@ impl Home {
     /// reported pairwise threat.
     fn publish_install(&self, report: &InstallReport, started: Option<Instant>) {
         let Some(bus) = &self.telemetry else { return };
-        let mut events = Vec::with_capacity(1 + report.threats.len());
-        events.push(TelemetryEvent::InstallCompleted {
+        let completed = TelemetryEvent::InstallCompleted {
             home: self.label,
             app: report.app.clone(),
             installed: report.installed,
@@ -429,19 +428,17 @@ impl Home {
             lowered_hits: report.stats.lowered_hits,
             solver_fallbacks: report.stats.solver_fallbacks,
             micros: started.map_or(0, |t| t.elapsed().as_micros() as u64),
-        });
-        events.extend(
-            report
-                .threats
-                .iter()
-                .map(|threat| TelemetryEvent::ThreatDetected {
-                    home: self.label,
-                    kind: threat.kind.acronym(),
-                    source_app: threat.source.app.clone(),
-                    target_app: threat.target.app.clone(),
-                }),
-        );
-        bus.publish_batch(events);
+        };
+        let threats = report
+            .threats
+            .iter()
+            .map(|threat| TelemetryEvent::ThreatDetected {
+                home: self.label,
+                kind: threat.kind.acronym(),
+                source_app: threat.source.app.clone(),
+                target_app: threat.target.app.clone(),
+            });
+        bus.publish_batch(std::iter::once(completed).chain(threats));
     }
 
     fn absorb_config(&mut self, info: &ConfigInfo) {

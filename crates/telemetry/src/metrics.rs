@@ -1,13 +1,15 @@
 //! The metrics registry: bus events folded into counters, gauges,
 //! fixed-bucket histograms and the paper's fleet-scale analytics.
 //!
-//! A [`MetricsRegistry`] is a pure consumer — it subscribes to nothing by
-//! itself; the [`TelemetryHub`](crate::TelemetryHub) collector thread
-//! drains the bus and feeds [`MetricsRegistry::ingest`]. Everything lives
-//! behind one mutex (ingest is a handful of map bumps, far off any hot
-//! path). Aggregates are process-lifetime: they count what this process
-//! observed and are never persisted, so a restore or a recovery leaves
-//! them exactly where they were.
+//! A [`MetricsRegistry`] subscribes to nothing by itself. The registry a
+//! scrape reads is the one owned by the [`TelemetryBus`](crate::TelemetryBus):
+//! the bus folds every event in as it stamps it, inside the same critical
+//! section that retains it, so a counter read after `publish` returns
+//! already includes that event, and events the ring later sheds were
+//! counted all the same. Everything lives behind one mutex (ingest is a
+//! handful of map bumps). Aggregates are process-lifetime: they count
+//! what this process observed and are never persisted, so a restore or a
+//! recovery leaves them exactly where they were.
 //!
 //! The derived tables answer the paper's fleet questions directly:
 //! the per-app interference table is Fig. 8 at fleet scale (which store
@@ -17,7 +19,7 @@
 use crate::event::TelemetryEvent;
 use hg_rules::json::Json;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Bucket upper bounds (inclusive) per histogram name. The last implicit
 /// bucket is `+Inf`.
@@ -136,22 +138,111 @@ impl AppInterference {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<&'static str, u64>,
+/// Declares the monotonic counters: one [`Counter`] slot per name,
+/// listed in the (alphabetical) order they render in. Slots make a bump
+/// an array increment, cheap enough for the publish path.
+macro_rules! counters {
+    ($($slot:ident = $name:literal,)*) => {
+        #[derive(Clone, Copy)]
+        enum Counter {
+            $($slot,)*
+        }
+
+        /// Counter names, indexed by `Counter as usize`.
+        const COUNTER_NAMES: &[&str] = &[$($name,)*];
+    };
+}
+
+counters! {
+    CacheHits = "cache_hits_total",
+    CacheMisses = "cache_misses_total",
+    CacheProbes = "cache_probes_total",
+    EventsConsumed = "events_consumed_total",
+    HomesCreated = "homes_created_total",
+    InstallsClean = "installs_clean_total",
+    InstallsDirty = "installs_dirty_total",
+    Installs = "installs_total",
+    IoRetries = "io_retries_total",
+    IoRetryEvents = "io_retry_events_total",
+    JournalAppends = "journal_appends_total",
+    JournalBytes = "journal_bytes_total",
+    JournalCheckpointHomes = "journal_checkpoint_homes_total",
+    JournalCheckpointMicros = "journal_checkpoint_micros_total",
+    JournalCheckpoints = "journal_checkpoints_total",
+    JournalDegraded = "journal_degraded_total",
+    JournalHealed = "journal_healed_total",
+    JournalRecords = "journal_records_total",
+    JournalReplayMicros = "journal_replay_micros_total",
+    JournalReplayedRecords = "journal_replayed_records_total",
+    JournalReplays = "journal_replays_total",
+    JournalSyncMicros = "journal_sync_micros_total",
+    JournalSyncs = "journal_syncs_total",
+    LoweredHits = "lowered_hits_total",
+    MediationEvents = "mediation_events_total",
+    MediationMediated = "mediation_mediated_total",
+    PairsChecked = "pairs_checked_total",
+    QueueSaturated = "queue_saturated_total",
+    SnapshotMicros = "snapshot_micros_total",
+    Snapshots = "snapshots_total",
+    SolverFallbacks = "solver_fallbacks_total",
+    Solves = "solves_total",
+    SweepHomes = "sweep_homes_total",
+    SweepShards = "sweep_shards_total",
+    Threats = "threats_total",
+    UninstallRulesRemoved = "uninstall_rules_removed_total",
+    UninstallThreatsRetired = "uninstall_threats_retired_total",
+    Uninstalls = "uninstalls_total",
+    Upgrades = "upgrades_total",
+}
+
+#[derive(Debug)]
+pub(crate) struct Inner {
+    /// Per [`Counter`] slot; `None` until first bumped, so only counters
+    /// the process has seen render.
+    counters: [Option<u64>; COUNTER_NAMES.len()],
     /// Threats by kind acronym.
-    threat_kinds: BTreeMap<String, u64>,
+    threat_kinds: BTreeMap<&'static str, u64>,
     /// Mediation decisions by final verdict.
-    verdicts: BTreeMap<String, u64>,
+    verdicts: BTreeMap<&'static str, u64>,
     /// Pull-style gauges, set by whoever scrapes (queue depths, bus drops).
     gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<&'static str, Histogram>,
     interference: BTreeMap<String, AppInterference>,
 }
 
+impl Default for Inner {
+    fn default() -> Inner {
+        Inner {
+            counters: [None; COUNTER_NAMES.len()],
+            threat_kinds: BTreeMap::new(),
+            verdicts: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            interference: BTreeMap::new(),
+        }
+    }
+}
+
 impl Inner {
-    fn bump(&mut self, name: &'static str, by: u64) {
-        *self.counters.entry(name).or_insert(0) += by;
+    fn bump(&mut self, counter: Counter, by: u64) {
+        *self.counters[counter as usize].get_or_insert(0) += by;
+    }
+
+    /// The bumped counters with their names, in render order.
+    fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        COUNTER_NAMES
+            .iter()
+            .zip(&self.counters)
+            .filter_map(|(name, value)| value.map(|value| (*name, value)))
+    }
+
+    /// The app's interference row, allocating its key only on first sight.
+    fn row(&mut self, app: &str) -> &mut AppInterference {
+        if !self.interference.contains_key(app) {
+            self.interference
+                .insert(app.to_string(), AppInterference::default());
+        }
+        self.interference.get_mut(app).expect("row inserted above")
     }
 
     fn observe(&mut self, name: &'static str, value: u64, weight: u64) {
@@ -160,33 +251,12 @@ impl Inner {
             .or_insert_with(|| Histogram::new(bounds_for(name)))
             .observe(value, weight);
     }
-}
-
-/// The fleet metrics registry (see the [module docs](self)).
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<Inner>,
-}
-
-// Lock recovery: every mutation is a self-contained map bump, so a
-// panicking ingester cannot leave half-written aggregates — recover the
-// map rather than propagating poison into the collector and every route.
-fn lock(inner: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
-    inner.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
 
     /// Folds one bus event into the aggregates.
-    pub fn ingest(&self, event: &TelemetryEvent) {
-        let mut inner = lock(&self.inner);
-        inner.bump("events_consumed_total", 1);
+    pub(crate) fn ingest(&mut self, event: &TelemetryEvent) {
+        self.bump(Counter::EventsConsumed, 1);
         match event {
-            TelemetryEvent::HomeCreated { .. } => inner.bump("homes_created_total", 1),
+            TelemetryEvent::HomeCreated { .. } => self.bump(Counter::HomesCreated, 1),
             TelemetryEvent::InstallCompleted {
                 app,
                 installed,
@@ -201,26 +271,26 @@ impl MetricsRegistry {
                 micros,
                 ..
             } => {
-                inner.bump("installs_total", 1);
-                inner.bump(
+                self.bump(Counter::Installs, 1);
+                self.bump(
                     if *installed {
-                        "installs_clean_total"
+                        Counter::InstallsClean
                     } else {
-                        "installs_dirty_total"
+                        Counter::InstallsDirty
                     },
                     1,
                 );
                 if *upgrade {
-                    inner.bump("upgrades_total", 1);
+                    self.bump(Counter::Upgrades, 1);
                 }
-                inner.bump("pairs_checked_total", *pairs);
-                inner.bump("solves_total", *solves);
-                inner.bump("cache_hits_total", *cache_hits);
-                inner.bump("cache_misses_total", *cache_misses);
-                inner.bump("lowered_hits_total", *lowered_hits);
-                inner.bump("solver_fallbacks_total", *solver_fallbacks);
-                inner.observe("install_micros", *micros, 1);
-                let row = inner.interference.entry(app.clone()).or_default();
+                self.bump(Counter::PairsChecked, *pairs);
+                self.bump(Counter::Solves, *solves);
+                self.bump(Counter::CacheHits, *cache_hits);
+                self.bump(Counter::CacheMisses, *cache_misses);
+                self.bump(Counter::LoweredHits, *lowered_hits);
+                self.bump(Counter::SolverFallbacks, *solver_fallbacks);
+                self.observe("install_micros", *micros, 1);
+                let row = self.row(app);
                 row.installs += 1;
                 if !installed {
                     row.dirty += 1;
@@ -233,19 +303,11 @@ impl MetricsRegistry {
                 target_app,
                 ..
             } => {
-                inner.bump("threats_total", 1);
-                *inner.threat_kinds.entry((*kind).to_string()).or_insert(0) += 1;
-                inner
-                    .interference
-                    .entry(source_app.clone())
-                    .or_default()
-                    .threats += 1;
+                self.bump(Counter::Threats, 1);
+                *self.threat_kinds.entry(kind).or_insert(0) += 1;
+                self.row(source_app).threats += 1;
                 if target_app != source_app {
-                    inner
-                        .interference
-                        .entry(target_app.clone())
-                        .or_default()
-                        .threats += 1;
+                    self.row(target_app).threats += 1;
                 }
             }
             TelemetryEvent::UninstallCompleted {
@@ -253,21 +315,21 @@ impl MetricsRegistry {
                 retired_threats,
                 ..
             } => {
-                inner.bump("uninstalls_total", 1);
-                inner.bump("uninstall_rules_removed_total", *removed_rules);
-                inner.bump("uninstall_threats_retired_total", *retired_threats);
+                self.bump(Counter::Uninstalls, 1);
+                self.bump(Counter::UninstallRulesRemoved, *removed_rules);
+                self.bump(Counter::UninstallThreatsRetired, *retired_threats);
             }
             TelemetryEvent::MediationDecision {
                 verdict,
                 latency_ns,
                 ..
             } => {
-                inner.bump("mediation_events_total", 1);
+                self.bump(Counter::MediationEvents, 1);
                 if *verdict != "allow" {
-                    inner.bump("mediation_mediated_total", 1);
+                    self.bump(Counter::MediationMediated, 1);
                 }
-                *inner.verdicts.entry((*verdict).to_string()).or_insert(0) += 1;
-                inner.observe("mediation_latency_ns", *latency_ns, 1);
+                *self.verdicts.entry(verdict).or_insert(0) += 1;
+                self.observe("mediation_latency_ns", *latency_ns, 1);
             }
             TelemetryEvent::CacheProbe {
                 hit,
@@ -275,8 +337,8 @@ impl MetricsRegistry {
                 weight,
                 ..
             } => {
-                inner.bump("cache_probes_total", *weight);
-                inner.observe(
+                self.bump(Counter::CacheProbes, *weight);
+                self.observe(
                     if *hit {
                         "pair_check_micros_cached"
                     } else {
@@ -287,45 +349,78 @@ impl MetricsRegistry {
                 );
             }
             TelemetryEvent::SweepShardDone { homes, .. } => {
-                inner.bump("sweep_shards_total", 1);
-                inner.bump("sweep_homes_total", *homes);
+                self.bump(Counter::SweepShards, 1);
+                self.bump(Counter::SweepHomes, *homes);
             }
             TelemetryEvent::SnapshotTaken { micros, .. } => {
-                inner.bump("snapshots_total", 1);
-                inner.bump("snapshot_micros_total", *micros);
+                self.bump(Counter::Snapshots, 1);
+                self.bump(Counter::SnapshotMicros, *micros);
             }
-            TelemetryEvent::QueueSaturated { .. } => inner.bump("queue_saturated_total", 1),
+            TelemetryEvent::QueueSaturated { .. } => self.bump(Counter::QueueSaturated, 1),
             TelemetryEvent::JournalAppended { records, bytes } => {
-                inner.bump("journal_appends_total", 1);
-                inner.bump("journal_records_total", *records);
-                inner.bump("journal_bytes_total", *bytes);
+                self.bump(Counter::JournalAppends, 1);
+                self.bump(Counter::JournalRecords, *records);
+                self.bump(Counter::JournalBytes, *bytes);
             }
             TelemetryEvent::JournalSynced { micros } => {
-                inner.bump("journal_syncs_total", 1);
-                inner.bump("journal_sync_micros_total", *micros);
+                self.bump(Counter::JournalSyncs, 1);
+                self.bump(Counter::JournalSyncMicros, *micros);
             }
             TelemetryEvent::JournalCheckpoint { homes, micros, .. } => {
-                inner.bump("journal_checkpoints_total", 1);
-                inner.bump("journal_checkpoint_homes_total", *homes);
-                inner.bump("journal_checkpoint_micros_total", *micros);
+                self.bump(Counter::JournalCheckpoints, 1);
+                self.bump(Counter::JournalCheckpointHomes, *homes);
+                self.bump(Counter::JournalCheckpointMicros, *micros);
             }
             TelemetryEvent::JournalReplayed { records, micros } => {
-                inner.bump("journal_replays_total", 1);
-                inner.bump("journal_replayed_records_total", *records);
-                inner.bump("journal_replay_micros_total", *micros);
+                self.bump(Counter::JournalReplays, 1);
+                self.bump(Counter::JournalReplayedRecords, *records);
+                self.bump(Counter::JournalReplayMicros, *micros);
             }
             TelemetryEvent::IoRetry { attempts, .. } => {
-                inner.bump("io_retry_events_total", 1);
-                inner.bump("io_retries_total", *attempts);
+                self.bump(Counter::IoRetryEvents, 1);
+                self.bump(Counter::IoRetries, *attempts);
             }
-            TelemetryEvent::JournalDegraded { .. } => inner.bump("journal_degraded_total", 1),
-            TelemetryEvent::JournalHealed { .. } => inner.bump("journal_healed_total", 1),
+            TelemetryEvent::JournalDegraded { .. } => self.bump(Counter::JournalDegraded, 1),
+            TelemetryEvent::JournalHealed { .. } => self.bump(Counter::JournalHealed, 1),
         }
+    }
+}
+
+/// The fleet metrics registry (see the [module docs](self)).
+#[derive(Debug, Default)]
+pub struct MetricsRegistry {
+    inner: Mutex<Inner>,
+}
+
+// Lock recovery: every mutation is a self-contained map bump, so a
+// panicking ingester cannot leave half-written aggregates — recover the
+// map rather than propagating poison into every publisher and route.
+fn lock(inner: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
+    inner.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl MetricsRegistry {
+    /// An empty registry.
+    pub fn new() -> MetricsRegistry {
+        MetricsRegistry::default()
+    }
+
+    /// Folds one bus event into the aggregates.
+    pub fn ingest(&self, event: &TelemetryEvent) {
+        lock(&self.inner).ingest(event);
+    }
+
+    /// Locks the aggregates for a run of `Inner::ingest` calls: the bus
+    /// folds a whole published batch under one acquisition.
+    pub(crate) fn folder(&self) -> MutexGuard<'_, Inner> {
+        lock(&self.inner)
     }
 
     /// One monotonic counter (0 when never bumped).
     pub fn counter(&self, name: &str) -> u64 {
-        lock(&self.inner).counters.get(name).copied().unwrap_or(0)
+        let slot = COUNTER_NAMES.iter().position(|counter| *counter == name);
+        slot.and_then(|slot| lock(&self.inner).counters[slot])
+            .unwrap_or(0)
     }
 
     /// Sets a pull-style gauge (queue depths, occupancy, bus drop counts —
@@ -394,13 +489,7 @@ impl MetricsRegistry {
     /// The full registry as flat JSON (the `GET /metrics` body).
     pub fn to_json(&self) -> Json {
         let inner = lock(&self.inner);
-        let counters = Json::Obj(
-            inner
-                .counters
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), Json::Num(*v as i64)))
-                .collect(),
-        );
+        let counters = counts_json(inner.counters());
         let gauges = Json::Obj(
             inner
                 .gauges
@@ -408,20 +497,8 @@ impl MetricsRegistry {
                 .map(|(k, v)| (k.clone(), Json::Num(*v)))
                 .collect(),
         );
-        let kinds = Json::Obj(
-            inner
-                .threat_kinds
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v as i64)))
-                .collect(),
-        );
-        let verdicts = Json::Obj(
-            inner
-                .verdicts
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v as i64)))
-                .collect(),
-        );
+        let kinds = counts_json(inner.threat_kinds.iter().map(|(k, v)| (*k, *v)));
+        let verdicts = counts_json(inner.verdicts.iter().map(|(k, v)| (*k, *v)));
         let histograms = Json::Obj(
             inner
                 .histograms
@@ -452,7 +529,7 @@ impl MetricsRegistry {
     pub fn render_prometheus(&self) -> String {
         let inner = lock(&self.inner);
         let mut out = String::new();
-        for (name, value) in &inner.counters {
+        for (name, value) in inner.counters() {
             out.push_str(&format!("# TYPE hg_{name} counter\nhg_{name} {value}\n"));
         }
         for (kind, value) in &inner.threat_kinds {
@@ -494,6 +571,14 @@ impl MetricsRegistry {
         }
         out
     }
+}
+
+fn counts_json<'a>(counts: impl Iterator<Item = (&'a str, u64)>) -> Json {
+    Json::Obj(
+        counts
+            .map(|(name, count)| (name.to_string(), Json::Num(count as i64)))
+            .collect(),
+    )
 }
 
 fn histogram_json(h: &Histogram) -> Json {
@@ -558,6 +643,11 @@ mod tests {
             solver_fallbacks: 1,
             micros: 420,
         }
+    }
+
+    #[test]
+    fn counter_names_are_unique_and_in_render_order() {
+        assert!(COUNTER_NAMES.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The observability surface end to end: start the `hg-api` frontend
-//! with its telemetry hub (the default), drive fleet traffic, then
+//! with its telemetry bus (the default), drive fleet traffic, then
 //! scrape everything a dashboard would — `/metrics` in JSON and
 //! Prometheus text, the per-app interference table (paper Fig. 8), the
 //! verdict-cache hot-pair leaderboard, the latency histograms, a live
@@ -129,7 +129,7 @@ fn main() {
         homes.len()
     );
 
-    // ---- /metrics: flat JSON, exact after the collector handshake ------
+    // ---- /metrics: flat JSON, exact because events count at publish ---
     let (status, body) = call(addr, "GET", "/metrics", None, None);
     assert_eq!(status, 200);
     let metrics = json(&body);

@@ -4,19 +4,18 @@
 //! *exactly* with the events the bus carried.
 //!
 //! Two fleets over separate stores run the same lifecycle churn: one
-//! silent, one wired to a live [`TelemetryHub`]. The wired fleet's
+//! silent, one wired to a live [`TelemetryBus`]. The wired fleet's
 //! observable outputs (install/uninstall reports, rollout merges, the
 //! snapshot document) must be bit-identical to the silent fleet's; the
-//! hub's counters must then equal a direct recount of the bus events.
+//! bus registry's counters must then equal a direct recount of the bus
+//! events, read straight after the churn with nothing to wait for.
 
 use hg_service::{
     DegradedPolicy, FaultBackend, FaultKind, FaultPlan, Fleet, HomeId, Journal, JournalConfig,
-    MemBackend, RuleStore, TelemetryEvent,
+    MemBackend, RuleStore, TelemetryBus, TelemetryEvent,
 };
-use hg_telemetry::TelemetryHub;
 use homeguard_core::HgError;
 use std::sync::Arc;
-use std::time::Duration;
 
 const ON_APP: &str = r#"
 definition(name: "OnApp")
@@ -102,8 +101,8 @@ fn render_install(report: &homeguard_core::InstallReport) -> String {
 fn attached_bus_changes_no_report_and_no_persisted_byte() {
     let silent = Fleet::builder(RuleStore::shared()).shards(4).build();
     let wired = Fleet::builder(RuleStore::shared()).shards(4).build();
-    let hub = TelemetryHub::start();
-    assert!(wired.attach_telemetry(hub.bus().clone()));
+    let bus = Arc::new(TelemetryBus::new());
+    assert!(wired.attach_telemetry(bus.clone()));
 
     let silent_log = churn(&silent);
     let wired_log = churn(&wired);
@@ -121,15 +120,16 @@ fn attached_bus_changes_no_report_and_no_persisted_byte() {
         "snapshot bytes must not depend on telemetry"
     );
 
-    // Exactness: once the collector has consumed everything published,
-    // the registry's totals equal a direct recount of the bus events.
-    assert!(hub.sync(Duration::from_secs(5)), "collector must catch up");
-    assert_eq!(hub.bus().dropped_events(), 0, "churn fits bus retention");
+    // Exactness: events are counted as they are published, so the
+    // registry's totals equal a direct recount of the bus events as soon
+    // as the churn returns.
+    assert_eq!(bus.dropped_events(), 0, "churn fits bus retention");
     let mut events = Vec::new();
-    hub.bus().drain_since(0, &mut events);
+    bus.drain_since(0, &mut events);
     let count =
         |pred: fn(&TelemetryEvent) -> bool| events.iter().filter(|(_, e)| pred(e)).count() as u64;
-    let registry = hub.registry();
+    let registry = bus.registry();
+    assert_eq!(registry.counter("events_consumed_total"), bus.published());
     let installs = count(|e| matches!(e, TelemetryEvent::InstallCompleted { .. }));
     let threats = count(|e| matches!(e, TelemetryEvent::ThreatDetected { .. }));
     assert!(installs >= 9, "6 installs + 3 forced at minimum");
@@ -179,7 +179,6 @@ fn attached_bus_changes_no_report_and_no_persisted_byte() {
 
     // The silent fleet's mediation accessors work without any bus.
     assert_eq!(silent.mediation_stats().events, 0);
-    hub.stop();
 }
 
 /// The fault-policy lifecycle publishes exactly what the registry
@@ -204,10 +203,10 @@ fn fault_policy_events_reconcile_exactly_with_registry_totals() {
         )
         .unwrap(),
     );
-    let hub = TelemetryHub::start();
-    journal.set_telemetry(hub.bus().clone());
+    let bus = Arc::new(TelemetryBus::new());
+    journal.set_telemetry(bus.clone());
     let fleet = Fleet::builder(RuleStore::shared()).shards(2).build();
-    assert!(fleet.attach_telemetry(hub.bus().clone()));
+    assert!(fleet.attach_telemetry(bus.clone()));
     assert!(fleet.attach_journal(journal.clone()).unwrap());
     fleet.create_home().unwrap();
 
@@ -229,11 +228,11 @@ fn fault_policy_events_reconcile_exactly_with_registry_totals() {
     fleet.heal_journal().unwrap();
     fleet.create_home().unwrap();
 
-    assert!(hub.sync(Duration::from_secs(5)), "collector must catch up");
-    assert_eq!(hub.bus().dropped_events(), 0, "churn fits bus retention");
+    assert_eq!(bus.dropped_events(), 0, "churn fits bus retention");
     let mut events = Vec::new();
-    hub.bus().drain_since(0, &mut events);
-    let registry = hub.registry();
+    bus.drain_since(0, &mut events);
+    let registry = bus.registry();
+    assert_eq!(registry.counter("events_consumed_total"), bus.published());
 
     let retry_events = events
         .iter()
@@ -263,5 +262,4 @@ fn fault_policy_events_reconcile_exactly_with_registry_totals() {
     assert_eq!(registry.counter("io_retries_total"), retries);
     assert_eq!(registry.counter("journal_degraded_total"), degraded);
     assert_eq!(registry.counter("journal_healed_total"), healed);
-    hub.stop();
 }
